@@ -54,6 +54,7 @@ mod ctx;
 mod events;
 mod isolate;
 mod journal;
+pub mod record;
 mod rng;
 mod sink;
 mod site;
@@ -73,6 +74,7 @@ pub use isolate::catch_silent;
 pub use journal::{
     digest_bytes, hex_decode, hex_encode, CellRecord, Digest, Journal, JournalError,
 };
+pub use record::RecordError;
 pub use rng::{DerivedRng, Rng};
 pub use sink::{
     CovSummary, CoverageOnly, EventSink, FailureSummary, FastFailure, FastSummary, FullLog,
