@@ -409,6 +409,11 @@ impl<'a> Record<'a> {
             .ok_or_else(|| self.error(Some(key), format!("expected hex bytes, got {v:?}")))
     }
 
+    /// The error for a record whose tag the format does not know.
+    pub fn unknown_tag(&self) -> RecordError {
+        self.error(None, format!("unknown record tag {:?}", self.tag))
+    }
+
     /// An error located at this record (and `key`, when given):
     /// [`RecordError::Header`] for a header, [`RecordError::Parse`]
     /// otherwise.

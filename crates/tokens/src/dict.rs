@@ -9,10 +9,10 @@
 //! dictionary round-tripped through its text encoding drives campaigns
 //! byte-identically.
 
-use std::fmt;
 use std::path::Path;
 
-use pdf_runtime::Digest;
+use pdf_runtime::record::{self, Records};
+use pdf_runtime::{Digest, RecordError};
 
 /// An ordered, duplicate-free list of mined tokens.
 ///
@@ -32,64 +32,7 @@ pub struct Dictionary {
     tokens: Vec<Vec<u8>>,
 }
 
-/// Errors decoding a `pdf-dict v1` file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DictError {
-    /// The header line is missing or not `pdf-dict v1`.
-    Header(String),
-    /// A record line could not be parsed.
-    Parse {
-        /// 1-based line number of the bad record.
-        line: usize,
-        /// What was wrong with it.
-        message: String,
-    },
-    /// The file's token count or digest does not match its records.
-    Integrity(String),
-    /// The file could not be read or written.
-    Io(String),
-}
-
-impl fmt::Display for DictError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DictError::Header(m) => write!(f, "bad dictionary header: {m}"),
-            DictError::Parse { line, message } => {
-                write!(f, "bad dictionary record at line {line}: {message}")
-            }
-            DictError::Integrity(m) => write!(f, "dictionary integrity check failed: {m}"),
-            DictError::Io(m) => write!(f, "dictionary io error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for DictError {}
-
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex string {s:?}"));
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Ok(out)
-}
+const HEADER: &str = "pdf-dict v1";
 
 impl Dictionary {
     /// Builds a dictionary from `tokens`, dropping empty tokens and
@@ -157,93 +100,53 @@ impl Dictionary {
     /// bytes (newlines, non-UTF-8) survive the line-oriented format.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "pdf-dict v1 tokens={} digest={:016x}\n",
-            self.tokens.len(),
-            self.digest()
-        ));
+        record::write(&mut out, HEADER)
+            .dec("tokens", self.tokens.len() as u64)
+            .hex("digest", self.digest())
+            .end();
         for t in &self.tokens {
-            out.push_str(&format!("tok hex={}\n", to_hex(t)));
+            record::write(&mut out, "tok").bytes("hex", t).end();
         }
         out
     }
 
     /// Decodes `pdf-dict v1` text. `decode(encode(d)) == d` for every
-    /// dictionary; the header's count and digest are verified so a torn
-    /// or hand-edited file is rejected instead of silently driving a
-    /// different campaign.
-    pub fn decode(text: &str) -> Result<Self, DictError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| DictError::Header("empty file".to_string()))?;
-        let mut want_tokens: Option<usize> = None;
-        let mut want_digest: Option<u64> = None;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("pdf-dict") || parts.next() != Some("v1") {
-            return Err(DictError::Header(format!(
-                "expected `pdf-dict v1 ...`, got {header:?}"
-            )));
-        }
-        for part in parts {
-            if let Some(n) = part.strip_prefix("tokens=") {
-                want_tokens =
-                    Some(n.parse().map_err(|_| {
-                        DictError::Header(format!("bad token count in {header:?}"))
-                    })?);
-            } else if let Some(h) = part.strip_prefix("digest=") {
-                want_digest = Some(
-                    u64::from_str_radix(h, 16)
-                        .map_err(|_| DictError::Header(format!("bad digest in {header:?}")))?,
-                );
-            }
-        }
+    /// dictionary; the header's count and digest are required and
+    /// verified, so a torn or hand-edited file is rejected instead of
+    /// silently driving a different campaign.
+    pub fn decode(text: &str) -> Result<Self, RecordError> {
+        let (header, records) = Records::open(text, HEADER)?;
+        header.keys(&["tokens", "digest"])?;
+        let want_tokens = header.dec("tokens")?;
+        let want_digest = header.hex("digest")?;
         let mut tokens = Vec::new();
-        for (i, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
+        for rec in records {
+            let rec = rec?;
+            if rec.tag() != "tok" {
+                return Err(rec.unknown_tag());
             }
-            let rest = line.strip_prefix("tok ").ok_or_else(|| DictError::Parse {
-                line: i + 1,
-                message: format!("expected `tok hex=...`, got {line:?}"),
-            })?;
-            let hex = rest.strip_prefix("hex=").ok_or_else(|| DictError::Parse {
-                line: i + 1,
-                message: format!("expected `hex=` field, got {rest:?}"),
-            })?;
-            let bytes = from_hex(hex).map_err(|message| DictError::Parse {
-                line: i + 1,
-                message,
-            })?;
+            rec.keys(&["hex"])?;
+            let bytes = rec.bytes("hex")?;
             if bytes.is_empty() {
-                return Err(DictError::Parse {
-                    line: i + 1,
-                    message: "empty token".to_string(),
-                });
+                return Err(rec.error(Some("hex"), "empty token"));
             }
             tokens.push(bytes);
         }
         let dict = Dictionary { tokens };
-        if let Some(n) = want_tokens {
-            if n != dict.tokens.len() {
-                return Err(DictError::Integrity(format!(
-                    "header claims {n} tokens, file holds {}",
-                    dict.tokens.len()
-                )));
-            }
+        if want_tokens != dict.tokens.len() as u64 {
+            return Err(RecordError::Integrity(format!(
+                "header claims {want_tokens} tokens, file holds {}",
+                dict.tokens.len()
+            )));
         }
         if dict.tokens.len() != Dictionary::from_tokens(dict.tokens.clone()).tokens.len() {
-            return Err(DictError::Integrity("duplicate token".to_string()));
+            return Err(RecordError::Integrity("duplicate token".to_string()));
         }
-        if let Some(h) = want_digest {
-            if h != dict.digest() {
-                return Err(DictError::Integrity(format!(
-                    "header digest {:016x} does not match content digest {:016x}",
-                    h,
-                    dict.digest()
-                )));
-            }
+        if want_digest != dict.digest() {
+            return Err(RecordError::Integrity(format!(
+                "header digest {want_digest:016x} does not match content digest {:016x}",
+                dict.digest()
+            )));
         }
         Ok(dict)
     }
@@ -252,19 +155,19 @@ impl Dictionary {
     ///
     /// # Errors
     ///
-    /// [`DictError::Io`] on the underlying write error.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DictError> {
-        std::fs::write(path, self.encode()).map_err(|e| DictError::Io(e.to_string()))
+    /// [`RecordError::Io`] on the underlying write error.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RecordError> {
+        std::fs::write(path, self.encode()).map_err(|e| RecordError::Io(e.to_string()))
     }
 
     /// Reads and [`decode`](Self::decode)s a file.
     ///
     /// # Errors
     ///
-    /// [`DictError::Io`] when the file cannot be read, plus every decode
+    /// [`RecordError::Io`] when the file cannot be read, plus every decode
     /// error.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, DictError> {
-        let text = std::fs::read_to_string(path).map_err(|e| DictError::Io(e.to_string()))?;
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, RecordError> {
+        let text = std::fs::read_to_string(path).map_err(|e| RecordError::Io(e.to_string()))?;
         Self::decode(&text)
     }
 }
@@ -309,30 +212,45 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_header() {
-        assert!(matches!(
-            Dictionary::decode("pdf-journal v1\n"),
-            Err(DictError::Header(_))
-        ));
-        assert!(matches!(Dictionary::decode(""), Err(DictError::Header(_))));
+        for bad in [
+            "",
+            "pdf-journal v1\n",
+            // torn or partial headers: count and digest are required
+            "pdf-dict v1\n",
+            "pdf-dict v1 t\n",
+            "pdf-dict v1 tokens=0\n",
+            "pdf-dict v1 digest=e1363d95e3de7e27\n",
+            // unknown and duplicate header fields
+            "pdf-dict v1 tokens=0 digest=e1363d95e3de7e27 extra=1\n",
+            "pdf-dict v1 tokens=0 tokens=0 digest=e1363d95e3de7e27\n",
+        ] {
+            assert!(
+                matches!(Dictionary::decode(bad), Err(RecordError::Header(_))),
+                "accepted {bad:?}"
+            );
+        }
+        let empty = Dictionary::default().encode();
+        assert_eq!(empty, "pdf-dict v1 tokens=0 digest=e1363d95e3de7e27\n");
     }
 
     #[test]
     fn decode_rejects_bad_records() {
-        let text = "pdf-dict v1 tokens=1 digest=0000000000000000\nnope\n";
-        assert!(matches!(
-            Dictionary::decode(text),
-            Err(DictError::Parse { .. })
-        ));
-        let text = "pdf-dict v1\ntok hex=zz\n";
-        assert!(matches!(
-            Dictionary::decode(text),
-            Err(DictError::Parse { .. })
-        ));
-        let text = "pdf-dict v1\ntok hex=abc\n";
-        assert!(matches!(
-            Dictionary::decode(text),
-            Err(DictError::Parse { .. })
-        ));
+        let head = "pdf-dict v1 tokens=1 digest=0000000000000000\n";
+        for bad in [
+            "nope\n",
+            "tok hex=zz\n",
+            "tok hex=abc\n",
+            "tok hex=\n",
+            "tok\n",
+            "tok hex=61 hex=61\n",
+            "tok hex=61 n=1\n",
+        ] {
+            let text = format!("{head}{bad}");
+            assert!(
+                matches!(Dictionary::decode(&text), Err(RecordError::Parse { .. })),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -341,12 +259,12 @@ mod tests {
         let torn = dict.encode().lines().next().unwrap().to_string() + "\n";
         assert!(matches!(
             Dictionary::decode(&torn),
-            Err(DictError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
         let edited = dict.encode().replace("hex=74727565", "hex=66616c7365");
         assert!(matches!(
             Dictionary::decode(&edited),
-            Err(DictError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
     }
 

@@ -43,7 +43,7 @@ mod scan;
 
 use std::collections::BTreeSet;
 
-pub use dict::{DictError, Dictionary};
+pub use dict::Dictionary;
 pub use miner::{MinerConfig, TokenMiner};
 pub use scan::found_tokens;
 

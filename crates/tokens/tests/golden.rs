@@ -21,3 +21,18 @@ fn golden_dict_decodes_and_reencodes_byte_identically() {
     assert_eq!(dict, expected());
     assert_eq!(dict.encode(), GOLDEN);
 }
+
+#[test]
+fn every_truncation_of_a_dict_is_rejected() {
+    let last = GOLDEN.len() - 1;
+    assert_eq!(&GOLDEN[last..], "\n");
+    for cut in 0..GOLDEN.len() {
+        let prefix = &GOLDEN[..cut];
+        match Dictionary::decode(prefix) {
+            // dropping only the final newline loses nothing
+            Ok(dict) if cut == last => assert_eq!(dict, expected()),
+            Ok(_) => panic!("accepted a torn file cut at byte {cut}: {prefix:?}"),
+            Err(_) => assert_ne!(cut, last, "rejected the file minus its final newline"),
+        }
+    }
+}
