@@ -26,10 +26,10 @@
 //! digest are all verified on decode, so a torn or hand-edited file is
 //! rejected instead of silently generating a different distribution.
 
-use std::fmt;
 use std::path::Path;
 
-use pdf_runtime::Digest;
+use pdf_runtime::record::{self, Records};
+use pdf_runtime::{Digest, RecordError};
 
 use crate::mine::{Grammar, Label, Sym};
 
@@ -55,64 +55,7 @@ pub struct GrammarFile {
     weights: Vec<Vec<u32>>,
 }
 
-/// Errors decoding or assembling a `pdf-grammar v1` file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GrammarError {
-    /// The header line is missing or not `pdf-grammar v1`.
-    Header(String),
-    /// A record line could not be parsed.
-    Parse {
-        /// 1-based line number of the bad record.
-        line: usize,
-        /// What was wrong with it.
-        message: String,
-    },
-    /// The file's counts or digest do not match its records, or a
-    /// weight table does not match the grammar's shape.
-    Integrity(String),
-    /// The file could not be read or written.
-    Io(String),
-}
-
-impl fmt::Display for GrammarError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GrammarError::Header(m) => write!(f, "bad grammar header: {m}"),
-            GrammarError::Parse { line, message } => {
-                write!(f, "bad grammar record at line {line}: {message}")
-            }
-            GrammarError::Integrity(m) => write!(f, "grammar integrity check failed: {m}"),
-            GrammarError::Io(m) => write!(f, "grammar io error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for GrammarError {}
-
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex string {s:?}"));
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit in {s:?}"))?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Ok(out)
-}
+const HEADER: &str = "pdf-grammar v1";
 
 impl GrammarFile {
     /// Wraps a grammar with uniform weights (`1` per alternative) — the
@@ -130,18 +73,18 @@ impl GrammarFile {
     ///
     /// # Errors
     ///
-    /// [`GrammarError::Integrity`] when the weight table's shape does
+    /// [`RecordError::Integrity`] when the weight table's shape does
     /// not match the grammar (one `u32` per alternative, in
     /// [`Grammar::labels`] order) or any weight is zero — a zero weight
     /// would zero a rule's total and break the sampling contract.
-    pub fn with_weights(grammar: Grammar, weights: Vec<Vec<u32>>) -> Result<Self, GrammarError> {
+    pub fn with_weights(grammar: Grammar, weights: Vec<Vec<u32>>) -> Result<Self, RecordError> {
         Self::check_shape(&grammar, &weights)?;
         Ok(GrammarFile { grammar, weights })
     }
 
-    fn check_shape(grammar: &Grammar, weights: &[Vec<u32>]) -> Result<(), GrammarError> {
+    fn check_shape(grammar: &Grammar, weights: &[Vec<u32>]) -> Result<(), RecordError> {
         if weights.len() != grammar.len() {
-            return Err(GrammarError::Integrity(format!(
+            return Err(RecordError::Integrity(format!(
                 "{} weight rows for {} rules",
                 weights.len(),
                 grammar.len()
@@ -149,7 +92,7 @@ impl GrammarFile {
         }
         for (label, row) in grammar.labels().zip(weights) {
             if row.len() != grammar.alts(label).len() {
-                return Err(GrammarError::Integrity(format!(
+                return Err(RecordError::Integrity(format!(
                     "rule {:016x} has {} alternatives but {} weights",
                     label.0,
                     grammar.alts(label).len(),
@@ -157,7 +100,7 @@ impl GrammarFile {
                 )));
             }
             if row.contains(&0) {
-                return Err(GrammarError::Integrity(format!(
+                return Err(RecordError::Integrity(format!(
                     "rule {:016x} has a zero weight",
                     label.0
                 )));
@@ -195,7 +138,7 @@ impl GrammarFile {
     /// # Errors
     ///
     /// Shape errors, as in [`with_weights`](Self::with_weights).
-    pub fn set_weights(&mut self, weights: Vec<Vec<u32>>) -> Result<(), GrammarError> {
+    pub fn set_weights(&mut self, weights: Vec<Vec<u32>>) -> Result<(), RecordError> {
         Self::check_shape(&self.grammar, &weights)?;
         self.weights = weights;
         Ok(())
@@ -227,28 +170,26 @@ impl GrammarFile {
     /// for the format).
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "pdf-grammar v1 rules={} alts={} digest={:016x}\n",
-            self.grammar.len(),
-            self.alt_count(),
-            self.digest()
-        ));
+        record::write(&mut out, HEADER)
+            .dec("rules", self.grammar.len() as u64)
+            .dec("alts", self.alt_count() as u64)
+            .hex("digest", self.digest())
+            .end();
         for (label, row) in self.grammar.labels().zip(&self.weights) {
             let alts = self.grammar.alts(label);
-            out.push_str(&format!(
-                "rule label={:016x} alts={}\n",
-                label.0,
-                alts.len()
-            ));
+            record::write(&mut out, "rule")
+                .hex("label", label.0)
+                .dec("alts", alts.len() as u64)
+                .end();
             for (alt, &w) in alts.iter().zip(row) {
-                out.push_str(&format!("alt w={w}"));
+                let mut line = record::write(&mut out, "alt").dec("w", u64::from(w));
                 for sym in alt {
-                    match sym {
-                        Sym::Lit(bytes) => out.push_str(&format!(" lit={}", to_hex(bytes))),
-                        Sym::Ref(r) => out.push_str(&format!(" ref={:016x}", r.0)),
-                    }
+                    line = match sym {
+                        Sym::Lit(bytes) => line.bytes("lit", bytes),
+                        Sym::Ref(r) => line.hex("ref", r.0),
+                    };
                 }
-                out.push('\n');
+                line.end();
             }
         }
         out
@@ -256,132 +197,77 @@ impl GrammarFile {
 
     /// Decodes `pdf-grammar v1` text. `decode(encode(f)) == f` for
     /// every file; rule order, per-rule alternative counts, the header
-    /// counts and the digest are all verified.
-    pub fn decode(text: &str) -> Result<Self, GrammarError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| GrammarError::Header("empty file".to_string()))?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("pdf-grammar") || parts.next() != Some("v1") {
-            return Err(GrammarError::Header(format!(
-                "expected `pdf-grammar v1 ...`, got {header:?}"
-            )));
-        }
-        let mut want_rules: Option<usize> = None;
-        let mut want_alts: Option<usize> = None;
-        let mut want_digest: Option<u64> = None;
-        for part in parts {
-            if let Some(n) = part.strip_prefix("rules=") {
-                want_rules =
-                    Some(n.parse().map_err(|_| {
-                        GrammarError::Header(format!("bad rule count in {header:?}"))
-                    })?);
-            } else if let Some(n) = part.strip_prefix("alts=") {
-                want_alts = Some(n.parse().map_err(|_| {
-                    GrammarError::Header(format!("bad alternative count in {header:?}"))
-                })?);
-            } else if let Some(h) = part.strip_prefix("digest=") {
-                want_digest = Some(
-                    u64::from_str_radix(h, 16)
-                        .map_err(|_| GrammarError::Header(format!("bad digest in {header:?}")))?,
-                );
-            }
-        }
+    /// counts and the digest are all required and verified.
+    pub fn decode(text: &str) -> Result<Self, RecordError> {
+        let (header, records) = Records::open(text, HEADER)?;
+        header.keys(&["rules", "alts", "digest"])?;
+        let want_rules = header.dec("rules")?;
+        let want_alts = header.dec("alts")?;
+        let want_digest = header.hex("digest")?;
         // (label, expected alt count, alternatives with weights)
-        type RawRule = (Label, usize, Vec<(Vec<Sym>, u32)>);
+        type RawRule = (Label, u64, Vec<(Vec<Sym>, u32)>);
         let mut rules: Vec<RawRule> = Vec::new();
-        for (i, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let parse_err = |message: String| GrammarError::Parse {
-                line: i + 1,
-                message,
-            };
-            if let Some(rest) = line.strip_prefix("rule ") {
-                let mut label = None;
-                let mut count = None;
-                for field in rest.split_whitespace() {
-                    if let Some(h) = field.strip_prefix("label=") {
-                        label = Some(Label(
-                            u64::from_str_radix(h, 16)
-                                .map_err(|_| parse_err(format!("bad rule label {h:?}")))?,
-                        ));
-                    } else if let Some(n) = field.strip_prefix("alts=") {
-                        count = Some(
-                            n.parse::<usize>()
-                                .map_err(|_| parse_err(format!("bad alt count {n:?}")))?,
-                        );
-                    } else {
-                        return Err(parse_err(format!("unknown rule field {field:?}")));
-                    }
-                }
-                let label = label.ok_or_else(|| parse_err("rule without label=".to_string()))?;
-                let count = count.ok_or_else(|| parse_err("rule without alts=".to_string()))?;
-                if let Some((last, _, _)) = rules.last() {
-                    if *last >= label {
-                        return Err(parse_err(format!(
-                            "rule {:016x} out of order after {:016x} (canonical order is \
-                             strictly increasing)",
-                            label.0, last.0
-                        )));
-                    }
-                }
-                rules.push((label, count, Vec::new()));
-            } else if let Some(rest) = line.strip_prefix("alt ") {
-                let (_, _, alts) = rules
-                    .last_mut()
-                    .ok_or_else(|| parse_err("alt record before any rule".to_string()))?;
-                let mut fields = rest.split_whitespace();
-                let w_field = fields
-                    .next()
-                    .ok_or_else(|| parse_err("alt without w= field".to_string()))?;
-                let w: u32 = w_field
-                    .strip_prefix("w=")
-                    .ok_or_else(|| parse_err(format!("expected w= first, got {w_field:?}")))?
-                    .parse()
-                    .map_err(|_| parse_err(format!("bad weight in {w_field:?}")))?;
-                if w == 0 {
-                    return Err(parse_err("zero weight".to_string()));
-                }
-                let mut body = Vec::new();
-                for field in fields {
-                    if let Some(h) = field.strip_prefix("lit=") {
-                        let bytes = from_hex(h).map_err(parse_err)?;
-                        if bytes.is_empty() {
-                            return Err(parse_err("empty literal".to_string()));
+        for rec in records {
+            let rec = rec?;
+            match rec.tag() {
+                "rule" => {
+                    rec.keys(&["label", "alts"])?;
+                    let label = Label(rec.hex("label")?);
+                    let count = rec.dec("alts")?;
+                    if let Some((last, _, _)) = rules.last() {
+                        if *last >= label {
+                            return Err(rec.error(
+                                Some("label"),
+                                format!(
+                                    "rule {:016x} out of order after {:016x} (canonical order \
+                                     is strictly increasing)",
+                                    label.0, last.0
+                                ),
+                            ));
                         }
-                        body.push(Sym::Lit(bytes));
-                    } else if let Some(h) = field.strip_prefix("ref=") {
-                        body.push(Sym::Ref(Label(
-                            u64::from_str_radix(h, 16)
-                                .map_err(|_| parse_err(format!("bad ref label {h:?}")))?,
-                        )));
-                    } else {
-                        return Err(parse_err(format!("unknown alt field {field:?}")));
                     }
+                    rules.push((label, count, Vec::new()));
                 }
-                if alts.iter().any(|(existing, _)| *existing == body) {
-                    return Err(GrammarError::Integrity("duplicate alternative".to_string()));
+                "alt" => {
+                    let (_, _, alts) = rules
+                        .last_mut()
+                        .ok_or_else(|| rec.error(None, "alt record before any rule"))?;
+                    // `w` first, then the body symbols in order
+                    let (w, body) = match rec.pairs().split_first() {
+                        Some((&("w", w), body)) => (w, body),
+                        _ => return Err(rec.error(Some("w"), "alt without w= first")),
+                    };
+                    let w = u32::try_from(rec.dec_of("w", w)?)
+                        .ok()
+                        .filter(|&w| w > 0)
+                        .ok_or_else(|| rec.error(Some("w"), "weight must be in 1..=u32::MAX"))?;
+                    let mut syms = Vec::with_capacity(body.len());
+                    for &(key, v) in body {
+                        syms.push(match key {
+                            "lit" => {
+                                let bytes = rec.bytes_of(key, v)?;
+                                if bytes.is_empty() {
+                                    return Err(rec.error(Some(key), "empty literal"));
+                                }
+                                Sym::Lit(bytes)
+                            }
+                            "ref" => Sym::Ref(Label(rec.hex_of(key, v)?)),
+                            _ => return Err(rec.error(Some(key), "unknown key in `alt`")),
+                        });
+                    }
+                    if alts.iter().any(|(existing, _)| *existing == syms) {
+                        return Err(RecordError::Integrity("duplicate alternative".to_string()));
+                    }
+                    alts.push((syms, w));
                 }
-                alts.push((body, w));
-            } else if line == "alt" {
-                // `alt w=1` with trailing whitespace stripped still has
-                // its weight field; a bare `alt` lost it
-                return Err(parse_err("alt without w= field".to_string()));
-            } else {
-                return Err(parse_err(format!(
-                    "expected `rule ...` or `alt ...`, got {line:?}"
-                )));
+                _ => return Err(rec.unknown_tag()),
             }
         }
         let mut grammar = Grammar::default();
         let mut weights = Vec::with_capacity(rules.len());
         for (label, count, alts) in rules {
-            if alts.len() != count {
-                return Err(GrammarError::Integrity(format!(
+            if alts.len() as u64 != count {
+                return Err(RecordError::Integrity(format!(
                     "rule {:016x} claims {count} alternatives, file holds {}",
                     label.0,
                     alts.len()
@@ -395,30 +281,23 @@ impl GrammarFile {
             weights.push(row);
         }
         let file = GrammarFile { grammar, weights };
-        if let Some(n) = want_rules {
-            if n != file.grammar.len() {
-                return Err(GrammarError::Integrity(format!(
-                    "header claims {n} rules, file holds {}",
-                    file.grammar.len()
-                )));
-            }
+        if want_rules != file.grammar.len() as u64 {
+            return Err(RecordError::Integrity(format!(
+                "header claims {want_rules} rules, file holds {}",
+                file.grammar.len()
+            )));
         }
-        if let Some(n) = want_alts {
-            if n != file.alt_count() {
-                return Err(GrammarError::Integrity(format!(
-                    "header claims {n} alternatives, file holds {}",
-                    file.alt_count()
-                )));
-            }
+        if want_alts != file.alt_count() as u64 {
+            return Err(RecordError::Integrity(format!(
+                "header claims {want_alts} alternatives, file holds {}",
+                file.alt_count()
+            )));
         }
-        if let Some(h) = want_digest {
-            if h != file.digest() {
-                return Err(GrammarError::Integrity(format!(
-                    "header digest {:016x} does not match content digest {:016x}",
-                    h,
-                    file.digest()
-                )));
-            }
+        if want_digest != file.digest() {
+            return Err(RecordError::Integrity(format!(
+                "header digest {want_digest:016x} does not match content digest {:016x}",
+                file.digest()
+            )));
         }
         Ok(file)
     }
@@ -427,19 +306,19 @@ impl GrammarFile {
     ///
     /// # Errors
     ///
-    /// [`GrammarError::Io`] on the underlying write error.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), GrammarError> {
-        std::fs::write(path, self.encode()).map_err(|e| GrammarError::Io(e.to_string()))
+    /// [`RecordError::Io`] on the underlying write error.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RecordError> {
+        std::fs::write(path, self.encode()).map_err(|e| RecordError::Io(e.to_string()))
     }
 
     /// Reads and [`decode`](Self::decode)s a file.
     ///
     /// # Errors
     ///
-    /// [`GrammarError::Io`] when the file cannot be read, plus every
+    /// [`RecordError::Io`] when the file cannot be read, plus every
     /// decode error.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, GrammarError> {
-        let text = std::fs::read_to_string(path).map_err(|e| GrammarError::Io(e.to_string()))?;
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, RecordError> {
+        let text = std::fs::read_to_string(path).map_err(|e| RecordError::Io(e.to_string()))?;
         Self::decode(&text)
     }
 }
@@ -495,52 +374,63 @@ mod tests {
         let g = sample().into_grammar();
         assert!(matches!(
             GrammarFile::with_weights(g.clone(), vec![vec![1, 1, 1]]),
-            Err(GrammarError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
         assert!(matches!(
             GrammarFile::with_weights(g.clone(), vec![vec![1, 1], vec![1, 1]]),
-            Err(GrammarError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
         assert!(matches!(
             GrammarFile::with_weights(g, vec![vec![1, 0, 1], vec![1, 1]]),
-            Err(GrammarError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
     }
 
     #[test]
     fn decode_rejects_bad_header() {
-        assert!(matches!(
-            GrammarFile::decode("pdf-dict v1\n"),
-            Err(GrammarError::Header(_))
-        ));
-        assert!(matches!(
-            GrammarFile::decode(""),
-            Err(GrammarError::Header(_))
-        ));
-        assert!(matches!(
-            GrammarFile::decode("pdf-grammar v1 rules=x\n"),
-            Err(GrammarError::Header(_))
-        ));
+        for bad in [
+            "",
+            "pdf-dict v1\n",
+            "pdf-grammar v1 rules=x\n",
+            // torn or partial headers: counts and digest are required
+            "pdf-grammar v1\n",
+            "pdf-grammar v1 r\n",
+            "pdf-grammar v1 rules=0 alts=0\n",
+            // unknown and duplicate header fields
+            "pdf-grammar v1 rules=0 alts=0 digest=0000000000000000 x=1\n",
+            "pdf-grammar v1 rules=0 rules=0 alts=0 digest=0000000000000000\n",
+        ] {
+            assert!(
+                matches!(GrammarFile::decode(bad), Err(RecordError::Header(_))),
+                "accepted {bad:?}"
+            );
+        }
     }
+
+    const HEAD: &str = "pdf-grammar v1 rules=1 alts=1 digest=0000000000000000\n";
+    const RULE: &str = "rule label=0000000000000000 alts=1\n";
 
     #[test]
     fn decode_rejects_bad_records() {
-        let head = "pdf-grammar v1\n";
         for bad in [
-            "nope\n",
-            "alt w=1 lit=31\n",                        // alt before rule
-            "rule label=00 alts=1\nalt lit=31\n",      // missing weight
-            "rule label=00 alts=1\nalt w=0 lit=31\n",  // zero weight
-            "rule label=00 alts=1\nalt w=1 lit=\n",    // empty literal
-            "rule label=00 alts=1\nalt w=1 lit=zz\n",  // bad hex
-            "rule label=00 alts=1\nalt w=1 lit=abc\n", // odd hex
-            "rule label=00 alts=1\nalt w=1 wat=1\n",   // unknown field
-            "rule label=zz alts=1\nalt w=1 lit=31\n",  // bad label
-            "rule alts=1\nalt w=1 lit=31\n",           // missing label
+            "nope\n".to_string(),
+            "alt w=1 lit=31\n".to_string(),      // alt before rule
+            format!("{RULE}alt lit=31\n"),       // missing weight
+            format!("{RULE}alt\n"),              // bare alt
+            format!("{RULE}alt w=0 lit=31\n"),   // zero weight
+            format!("{RULE}alt w=4294967296\n"), // weight overflow
+            format!("{RULE}alt w=1 lit=\n"),     // empty literal
+            format!("{RULE}alt w=1 lit=zz\n"),   // bad hex
+            format!("{RULE}alt w=1 lit=abc\n"),  // odd hex
+            format!("{RULE}alt w=1 wat=1\n"),    // unknown field
+            format!("{RULE}alt w=1 ref=aa\n"),   // short ref label
+            "rule label=zz alts=1\nalt w=1 lit=31\n".to_string(), // bad label
+            "rule alts=1\nalt w=1 lit=31\n".to_string(), // missing label
+            "rule label=0000000000000000 alts=1 alts=1\n".to_string(), // duplicate key
         ] {
-            let text = format!("{head}{bad}");
+            let text = format!("{HEAD}{bad}");
             assert!(
-                matches!(GrammarFile::decode(&text), Err(GrammarError::Parse { .. })),
+                matches!(GrammarFile::decode(&text), Err(RecordError::Parse { .. })),
                 "accepted {bad:?}"
             );
         }
@@ -548,30 +438,33 @@ mod tests {
 
     #[test]
     fn decode_rejects_out_of_order_and_duplicate_rules() {
-        let text = "pdf-grammar v1\n\
-                    rule label=00000000000000aa alts=1\nalt w=1 lit=31\n\
-                    rule label=0000000000000000 alts=1\nalt w=1 lit=32\n";
+        let text = format!(
+            "{HEAD}rule label=00000000000000aa alts=1\nalt w=1 lit=31\n\
+             rule label=0000000000000000 alts=1\nalt w=1 lit=32\n"
+        );
         assert!(matches!(
-            GrammarFile::decode(text),
-            Err(GrammarError::Parse { .. })
+            GrammarFile::decode(&text),
+            Err(RecordError::Parse { .. })
         ));
-        let text = "pdf-grammar v1\n\
-                    rule label=0000000000000000 alts=1\nalt w=1 lit=31\n\
-                    rule label=0000000000000000 alts=1\nalt w=1 lit=32\n";
+        let text = format!(
+            "{HEAD}{RULE}alt w=1 lit=31\n\
+             {RULE}alt w=1 lit=32\n"
+        );
         assert!(matches!(
-            GrammarFile::decode(text),
-            Err(GrammarError::Parse { .. })
+            GrammarFile::decode(&text),
+            Err(RecordError::Parse { .. })
         ));
     }
 
     #[test]
     fn decode_rejects_duplicate_alternatives() {
-        let text = "pdf-grammar v1\n\
-                    rule label=0000000000000000 alts=2\n\
-                    alt w=1 lit=31\nalt w=2 lit=31\n";
+        let text = format!(
+            "{HEAD}rule label=0000000000000000 alts=2\n\
+             alt w=1 lit=31\nalt w=2 lit=31\n"
+        );
         assert!(matches!(
-            GrammarFile::decode(text),
-            Err(GrammarError::Integrity(_))
+            GrammarFile::decode(&text),
+            Err(RecordError::Integrity(_))
         ));
     }
 
@@ -583,19 +476,19 @@ mod tests {
         let torn: String = encoded.lines().take(2).map(|l| format!("{l}\n")).collect();
         assert!(matches!(
             GrammarFile::decode(&torn),
-            Err(GrammarError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
         // edited literal: digest no longer matches
         let edited = encoded.replace("lit=31", "lit=32");
         assert!(matches!(
             GrammarFile::decode(&edited),
-            Err(GrammarError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
         // edited weight: digest covers weights too
         let edited = encoded.replace("w=5", "w=6");
         assert!(matches!(
             GrammarFile::decode(&edited),
-            Err(GrammarError::Integrity(_))
+            Err(RecordError::Integrity(_))
         ));
     }
 

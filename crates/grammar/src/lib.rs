@@ -55,7 +55,7 @@ pub mod gen;
 pub mod mine;
 pub mod pipeline;
 
-pub use codec::{GrammarError, GrammarFile};
+pub use codec::GrammarFile;
 pub use gen::Generator;
 pub use mine::{mine_corpus, Grammar, Label, Sym, START};
 pub use pipeline::{run_pipeline, PipelineConfig, PipelineReport};

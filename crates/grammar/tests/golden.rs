@@ -30,3 +30,18 @@ fn golden_grammar_decodes_and_reencodes_byte_identically() {
     assert_eq!(file, expected());
     assert_eq!(file.encode(), GOLDEN);
 }
+
+#[test]
+fn every_truncation_of_a_grammar_is_rejected() {
+    let last = GOLDEN.len() - 1;
+    assert_eq!(&GOLDEN[last..], "\n");
+    for cut in 0..GOLDEN.len() {
+        let prefix = &GOLDEN[..cut];
+        match GrammarFile::decode(prefix) {
+            // dropping only the final newline loses nothing
+            Ok(file) if cut == last => assert_eq!(file, expected()),
+            Ok(_) => panic!("accepted a torn file cut at byte {cut}: {prefix:?}"),
+            Err(_) => assert_ne!(cut, last, "rejected the file minus its final newline"),
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! Property suites for the grammar crate: `pdf-grammar v1` codec
 //! round-trip and corruption rejection, and miner determinism.
 
-use pdf_grammar::{mine_corpus, Grammar, GrammarError, GrammarFile, Label, Sym, START};
+use pdf_grammar::{mine_corpus, Grammar, GrammarFile, Label, Sym, START};
+use pdf_runtime::RecordError;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -87,7 +88,7 @@ proptest! {
         let corrupt = String::from_utf8(bytes).unwrap();
         prop_assert!(matches!(
             GrammarFile::decode(&corrupt),
-            Err(GrammarError::Integrity(_)) | Err(GrammarError::Header(_))
+            Err(RecordError::Integrity(_)) | Err(RecordError::Header(_))
         ));
     }
 
