@@ -24,15 +24,22 @@
 //!
 //! The text format follows the `pdf-journal v1` conventions: a header
 //! line, then one whitespace-separated `k=v` record per line, with byte
-//! strings hex-encoded via the journal codec's
-//! [`hex_encode`](pdf_runtime::hex_encode). Unordered collections
+//! strings hex-encoded via the record codec's
+//! [`push_hex_bytes`](pdf_runtime::record::push_hex_bytes). Unordered collections
 //! (the verdict cache, path counts) are emitted sorted, so encoding is
 //! canonical: decode ∘ encode is the identity and equal states produce
 //! equal text.
 
 use std::fmt;
 
-use pdf_runtime::{hex_decode, hex_encode, BranchId, BranchSet, SiteId};
+use pdf_runtime::record::{parse_hex_bytes as hex_decode, push_hex_bytes};
+use pdf_runtime::{BranchId, BranchSet, SiteId};
+
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut s = String::new();
+    push_hex_bytes(&mut s, bytes);
+    s
+}
 
 const HEADER: &str = "pdf-checkpoint v1";
 

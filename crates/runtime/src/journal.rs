@@ -19,10 +19,11 @@
 //!   discovery indices, branch sets, counters — never wall-clock).
 //!
 //! The encoding is a line-oriented text format (`pdf-journal v1`), one
-//! `cell` line per record, hand-rolled because the build environment has
-//! no serde. [`Journal::encode`]/[`Journal::decode`] round-trip exactly.
+//! `cell` line per record, written and parsed by the [record
+//! codec](crate::record). [`Journal::encode`]/[`Journal::decode`]
+//! round-trip exactly.
 
-use std::fmt;
+use crate::record::{self, RecordError, Records};
 
 /// Incremental 64-bit FNV-1a digest used for outcome digests, decision
 /// digests and configuration hashes throughout the workspace.
@@ -159,60 +160,7 @@ pub struct Journal {
     pub cells: Vec<CellRecord>,
 }
 
-/// Errors produced when decoding a journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalError {
-    /// The first line is not the expected `pdf-journal v1` header.
-    BadHeader,
-    /// A `cell` line could not be parsed.
-    BadLine {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::BadHeader => write!(f, "missing or unsupported journal header"),
-            JournalError::BadLine { line, reason } => {
-                write!(f, "journal line {line}: {reason}")
-            }
-        }
-    }
-}
-
 const HEADER: &str = "pdf-journal v1";
-
-/// Lowercase hex of a byte string, two digits per byte. The byte-string
-/// encoding shared by the journal codec and the campaign checkpoint
-/// codec in `pdf-core`.
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{b:02x}");
-    }
-    s
-}
-
-/// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
-pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
-        .collect()
-}
-
-/// Names go into whitespace-separated `k=v` pairs; reject anything that
-/// would break the framing.
-fn valid_name(name: &str) -> bool {
-    !name.is_empty() && name.chars().all(|c| !c.is_whitespace() && c != '=')
-}
 
 impl Journal {
     /// Creates an empty journal.
@@ -239,129 +187,58 @@ impl Journal {
     ///
     /// # Panics
     ///
-    /// Panics if a tool or subject name contains whitespace or `=` —
-    /// such names cannot round-trip through the line format, and no
+    /// Panics if a tool or subject name contains whitespace — such
+    /// names cannot round-trip through the line format, and no
     /// registered tool or subject uses them.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
+        record::write(&mut out, HEADER).end();
         for c in &self.cells {
-            assert!(valid_name(&c.tool), "unencodable tool name {:?}", c.tool);
-            assert!(
-                valid_name(&c.subject),
-                "unencodable subject name {:?}",
-                c.subject
-            );
-            let _ = write!(
-                out,
-                "cell tool={} subject={} seed={} execs={} cfg={:016x} decn={} decd={:016x} out={:016x}",
-                c.tool,
-                c.subject,
-                c.seed,
-                c.execs,
-                c.config_hash,
-                c.decision_count,
-                c.decision_digest,
-                c.outcome_digest,
-            );
+            let mut line = record::write(&mut out, "cell")
+                .raw("tool", &c.tool)
+                .raw("subject", &c.subject)
+                .dec("seed", c.seed)
+                .dec("execs", c.execs)
+                .hex("cfg", c.config_hash)
+                .dec("decn", c.decision_count)
+                .hex("decd", c.decision_digest)
+                .hex("out", c.outcome_digest);
             if !c.decisions.is_empty() {
-                let _ = write!(out, " dec={}", hex_encode(&c.decisions));
+                line = line.bytes("dec", &c.decisions);
             }
-            out.push('\n');
+            line.end();
         }
         out
     }
 
     /// Parses a journal previously produced by [`encode`](Self::encode).
     /// Blank lines and `#` comment lines are ignored.
-    pub fn decode(text: &str) -> Result<Journal, JournalError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim() == HEADER => {}
-            _ => return Err(JournalError::BadHeader),
-        }
+    pub fn decode(text: &str) -> Result<Journal, RecordError> {
+        let (header, records) = Records::open(text, HEADER)?;
+        header.keys(&[])?;
         let mut journal = Journal::new();
-        for (idx, line) in lines {
-            let line_no = idx + 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        for rec in records {
+            let rec = rec?;
+            if rec.tag() != "cell" {
+                return Err(rec.unknown_tag());
             }
-            let bad = |reason: &str| JournalError::BadLine {
-                line: line_no,
-                reason: reason.to_string(),
-            };
-            let rest = line
-                .strip_prefix("cell ")
-                .ok_or_else(|| bad("expected a 'cell' line"))?;
-            let mut cell = CellRecord {
-                tool: String::new(),
-                subject: String::new(),
-                seed: 0,
-                execs: 0,
-                config_hash: 0,
-                decision_count: 0,
-                decision_digest: 0,
-                decisions: Vec::new(),
-                outcome_digest: 0,
-            };
-            let mut seen = [false; 8];
-            for pair in rest.split_whitespace() {
-                let (key, value) = pair.split_once('=').ok_or_else(|| bad("expected k=v"))?;
-                match key {
-                    "tool" => {
-                        cell.tool = value.to_string();
-                        seen[0] = true;
-                    }
-                    "subject" => {
-                        cell.subject = value.to_string();
-                        seen[1] = true;
-                    }
-                    "seed" => {
-                        cell.seed = value.parse().map_err(|_| bad("bad seed"))?;
-                        seen[2] = true;
-                    }
-                    "execs" => {
-                        cell.execs = value.parse().map_err(|_| bad("bad execs"))?;
-                        seen[3] = true;
-                    }
-                    "cfg" => {
-                        cell.config_hash =
-                            u64::from_str_radix(value, 16).map_err(|_| bad("bad cfg hash"))?;
-                        seen[4] = true;
-                    }
-                    "decn" => {
-                        cell.decision_count = value.parse().map_err(|_| bad("bad decn"))?;
-                        seen[5] = true;
-                    }
-                    "decd" => {
-                        cell.decision_digest =
-                            u64::from_str_radix(value, 16).map_err(|_| bad("bad decd"))?;
-                        seen[6] = true;
-                    }
-                    "out" => {
-                        cell.outcome_digest =
-                            u64::from_str_radix(value, 16).map_err(|_| bad("bad out digest"))?;
-                        seen[7] = true;
-                    }
-                    "dec" => {
-                        cell.decisions =
-                            hex_decode(value).ok_or_else(|| bad("bad decision hex"))?;
-                    }
-                    other => {
-                        return Err(bad(&format!("unknown key {other:?}")));
-                    }
-                }
-            }
-            if let Some(missing) = seen.iter().position(|s| !s) {
-                const KEYS: [&str; 8] = [
-                    "tool", "subject", "seed", "execs", "cfg", "decn", "decd", "out",
-                ];
-                return Err(bad(&format!("missing key {:?}", KEYS[missing])));
-            }
-            journal.push(cell);
+            rec.keys(&[
+                "tool", "subject", "seed", "execs", "cfg", "decn", "decd", "out", "dec",
+            ])?;
+            journal.push(CellRecord {
+                tool: rec.raw("tool")?.to_string(),
+                subject: rec.raw("subject")?.to_string(),
+                seed: rec.dec("seed")?,
+                execs: rec.dec("execs")?,
+                config_hash: rec.hex("cfg")?,
+                decision_count: rec.dec("decn")?,
+                decision_digest: rec.hex("decd")?,
+                decisions: match rec.opt("dec") {
+                    Some(v) => rec.bytes_of("dec", v)?,
+                    None => Vec::new(),
+                },
+                outcome_digest: rec.hex("out")?,
+            });
         }
         Ok(journal)
     }
@@ -421,22 +298,36 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(Journal::decode(""), Err(JournalError::BadHeader));
-        assert_eq!(Journal::decode("nonsense"), Err(JournalError::BadHeader));
+        assert!(matches!(Journal::decode(""), Err(RecordError::Header(_))));
+        assert!(matches!(
+            Journal::decode("nonsense"),
+            Err(RecordError::Header(_))
+        ));
+        assert!(matches!(
+            Journal::decode(&format!("{HEADER} x=1")),
+            Err(RecordError::Header(_))
+        ));
         let text = format!("{HEADER}\nnot a cell line");
         assert!(matches!(
             Journal::decode(&text),
-            Err(JournalError::BadLine { line: 2, .. })
+            Err(RecordError::Parse { line: 2, .. })
         ));
         let text = format!("{HEADER}\ncell tool=x subject=y seed=abc");
         assert!(matches!(
             Journal::decode(&text),
-            Err(JournalError::BadLine { .. })
+            Err(RecordError::Parse { .. })
         ));
         let text = format!("{HEADER}\ncell tool=x subject=y");
         assert!(matches!(
             Journal::decode(&text),
-            Err(JournalError::BadLine { .. })
+            Err(RecordError::Parse { .. })
+        ));
+        let mut dup = Journal::new();
+        dup.push(sample_cell());
+        let text = dup.encode().replace("seed=7", "seed=7 seed=8");
+        assert!(matches!(
+            Journal::decode(&text),
+            Err(RecordError::Parse { .. })
         ));
     }
 
@@ -447,24 +338,5 @@ mod tests {
         let mut text = j.encode();
         text.push_str("\n# trailing comment\n\n");
         assert_eq!(Journal::decode(&text).unwrap(), j);
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
-        assert!(hex_decode("0").is_none());
-        assert!(hex_decode("zz").is_none());
-        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn errors_display() {
-        assert!(!JournalError::BadHeader.to_string().is_empty());
-        let e = JournalError::BadLine {
-            line: 3,
-            reason: "x".into(),
-        };
-        assert!(e.to_string().contains('3'));
     }
 }

@@ -71,9 +71,7 @@ pub use events::{
     ReplacementScratch,
 };
 pub use isolate::catch_silent;
-pub use journal::{
-    digest_bytes, hex_decode, hex_encode, CellRecord, Digest, Journal, JournalError,
-};
+pub use journal::{digest_bytes, CellRecord, Digest, Journal};
 pub use record::RecordError;
 pub use rng::{DerivedRng, Rng};
 pub use sink::{
