@@ -11,15 +11,17 @@
 //! [`FleetReport::digest`](crate::FleetReport::digest) as an
 //! uninterrupted run.
 //!
-//! The text format follows the workspace's line-codec conventions
-//! (`pdf-journal` / `pdf-checkpoint` / `pdf-metrics`): a `pdf-fleet v1`
-//! header, one `meta` record, then one `seen` record per shard and one
-//! `prom` record per promoted digest. Unordered data (the promoted set)
+//! The text format is written and parsed by the record codec
+//! ([`pdf_runtime::record`]): a `pdf-fleet v1` header, one `meta`
+//! record, then one `seen` record per shard and one `prom` record per
+//! promoted digest. Unordered data (the promoted set)
 //! is emitted sorted, so encoding is canonical.
 
 use std::fmt;
 
 use pdf_core::CheckpointError;
+use pdf_runtime::record::{self, Records};
+use pdf_runtime::RecordError;
 
 /// Name of the manifest file inside a fleet checkpoint directory.
 pub const MANIFEST_FILE: &str = "fleet.manifest";
@@ -39,15 +41,8 @@ pub enum FleetError {
     /// interval, or a replay stream count that does not match the
     /// shard count).
     Config(String),
-    /// The manifest text does not start with the `pdf-fleet v1` header.
-    Header,
-    /// A manifest line failed to parse.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
+    /// The manifest text failed to decode: a torn or damaged file.
+    Format(RecordError),
     /// The configuration, subject or shard layout drifted since the
     /// checkpoint was taken.
     Drift(String),
@@ -61,10 +56,7 @@ impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetError::Config(what) => write!(f, "fleet config: {what}"),
-            FleetError::Header => write!(f, "missing `{HEADER}` header"),
-            FleetError::Parse { line, reason } => {
-                write!(f, "fleet manifest line {line}: {reason}")
-            }
+            FleetError::Format(e) => write!(f, "fleet manifest: {e}"),
             FleetError::Drift(what) => write!(f, "fleet drift: {what}"),
             FleetError::Shard(e) => write!(f, "fleet shard: {e}"),
             FleetError::Io(e) => write!(f, "fleet io: {e}"),
@@ -84,11 +76,17 @@ impl FleetError {
     pub fn class(&self) -> pdf_core::ErrorClass {
         use pdf_core::ErrorClass;
         match self {
-            FleetError::Header | FleetError::Parse { .. } => ErrorClass::Corrupt,
+            FleetError::Format(_) => ErrorClass::Corrupt,
             FleetError::Drift(_) | FleetError::Config(_) => ErrorClass::Drift,
             FleetError::Shard(e) => e.class(),
             FleetError::Io(_) => ErrorClass::Io,
         }
+    }
+}
+
+impl From<RecordError> for FleetError {
+    fn from(e: RecordError) -> Self {
+        FleetError::Format(e)
     }
 }
 
@@ -149,27 +147,26 @@ pub struct FleetManifest {
 impl FleetManifest {
     /// Renders the manifest as `pdf-fleet v1` text.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(
-            out,
-            "meta subject={} cfg={:016x} seed={} shards={} sync={} epoch={} \
-             promotions={} injections={}",
-            self.subject,
-            self.config_hash,
-            self.base_seed,
-            self.shards,
-            self.sync_every,
-            self.epoch,
-            self.promotions,
-            self.injections,
-        );
-        for (shard, n) in self.seen_valid.iter().enumerate() {
-            let _ = writeln!(out, "seen shard={shard} valid={n}");
+        record::write(&mut out, HEADER).end();
+        record::write(&mut out, "meta")
+            .raw("subject", &self.subject)
+            .hex("cfg", self.config_hash)
+            .dec("seed", self.base_seed)
+            .dec("shards", self.shards)
+            .dec("sync", self.sync_every)
+            .dec("epoch", self.epoch)
+            .dec("promotions", self.promotions)
+            .dec("injections", self.injections)
+            .end();
+        for (shard, &n) in self.seen_valid.iter().enumerate() {
+            record::write(&mut out, "seen")
+                .dec("shard", shard as u64)
+                .dec("valid", n)
+                .end();
         }
-        for dg in &self.promoted {
-            let _ = writeln!(out, "prom digest={dg:016x}");
+        for &dg in &self.promoted {
+            record::write(&mut out, "prom").hex("digest", dg).end();
         }
         out
     }
@@ -178,85 +175,70 @@ impl FleetManifest {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Header`] on a missing header, [`FleetError::Parse`]
-    /// on any malformed line (including `seen` records out of shard
-    /// order or an unsorted promoted set — encoding is canonical).
+    /// [`FleetError::Format`] on a missing header or any malformed
+    /// line, including `seen` records out of shard order or an
+    /// unsorted promoted set (encoding is canonical).
     pub fn decode(text: &str) -> Result<FleetManifest, FleetError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, l)) if l.trim() == HEADER => {}
-            _ => return Err(FleetError::Header),
-        }
+        let (header, records) = Records::open(text, HEADER)?;
+        header.keys(&[])?;
         let mut m = FleetManifest::default();
         let mut saw_meta = false;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |reason: &str| FleetError::Parse {
-                line: lineno,
-                reason: reason.to_string(),
-            };
-            let mut toks = line.split_whitespace();
-            let tag = toks.next().ok_or_else(|| err("empty record"))?;
-            let mut get = |key: &str| -> Result<&str, FleetError> {
-                toks.next()
-                    .and_then(|tok| tok.strip_prefix(key))
-                    .and_then(|tok| tok.strip_prefix('='))
-                    .ok_or_else(|| err(&format!("expected {key}=...")))
-            };
-            match tag {
+        for rec in records {
+            let rec = rec?;
+            match rec.tag() {
                 "meta" => {
-                    m.subject = get("subject")?.to_string();
-                    m.config_hash =
-                        u64::from_str_radix(get("cfg")?, 16).map_err(|_| err("bad cfg hash"))?;
-                    m.base_seed = get("seed")?.parse().map_err(|_| err("bad seed"))?;
-                    m.shards = get("shards")?.parse().map_err(|_| err("bad shards"))?;
-                    m.sync_every = get("sync")?.parse().map_err(|_| err("bad sync"))?;
-                    m.epoch = get("epoch")?.parse().map_err(|_| err("bad epoch"))?;
-                    m.promotions = get("promotions")?
-                        .parse()
-                        .map_err(|_| err("bad promotions"))?;
-                    m.injections = get("injections")?
-                        .parse()
-                        .map_err(|_| err("bad injections"))?;
+                    rec.keys(&[
+                        "subject",
+                        "cfg",
+                        "seed",
+                        "shards",
+                        "sync",
+                        "epoch",
+                        "promotions",
+                        "injections",
+                    ])?;
+                    m.subject = rec.raw("subject")?.to_string();
+                    m.config_hash = rec.hex("cfg")?;
+                    m.base_seed = rec.dec("seed")?;
+                    m.shards = rec.dec("shards")?;
+                    m.sync_every = rec.dec("sync")?;
+                    m.epoch = rec.dec("epoch")?;
+                    m.promotions = rec.dec("promotions")?;
+                    m.injections = rec.dec("injections")?;
                     saw_meta = true;
                 }
                 "seen" => {
-                    let shard: u64 = get("shard")?.parse().map_err(|_| err("bad shard"))?;
-                    if shard != m.seen_valid.len() as u64 {
-                        return Err(err("seen records out of shard order"));
+                    rec.keys(&["shard", "valid"])?;
+                    if rec.dec("shard")? != m.seen_valid.len() as u64 {
+                        return Err(rec
+                            .error(Some("shard"), "seen records out of shard order")
+                            .into());
                     }
-                    m.seen_valid
-                        .push(get("valid")?.parse().map_err(|_| err("bad valid"))?);
+                    m.seen_valid.push(rec.dec("valid")?);
                 }
                 "prom" => {
-                    let dg =
-                        u64::from_str_radix(get("digest")?, 16).map_err(|_| err("bad digest"))?;
+                    rec.keys(&["digest"])?;
+                    let dg = rec.hex("digest")?;
                     if m.promoted.last().is_some_and(|&last| last >= dg) {
-                        return Err(err("promoted digests not strictly ascending"));
+                        return Err(rec
+                            .error(Some("digest"), "promoted digests not strictly ascending")
+                            .into());
                     }
                     m.promoted.push(dg);
                 }
-                other => return Err(err(&format!("unknown record tag {other:?}"))),
+                _ => return Err(rec.unknown_tag().into()),
             }
         }
         if !saw_meta {
-            return Err(FleetError::Parse {
-                line: 0,
-                reason: "missing meta record".to_string(),
-            });
+            return Err(RecordError::Integrity("missing meta record".to_string()).into());
         }
         if m.seen_valid.len() as u64 != m.shards {
-            return Err(FleetError::Parse {
-                line: 0,
-                reason: format!(
-                    "meta says {} shards but {} seen records",
-                    m.shards,
-                    m.seen_valid.len()
-                ),
-            });
+            return Err(RecordError::Integrity(format!(
+                "meta says {} shards but {} seen records",
+                m.shards,
+                m.seen_valid.len()
+            ))
+            .into());
         }
         Ok(m)
     }
@@ -292,15 +274,23 @@ mod tests {
 
     #[test]
     fn rejects_missing_header_and_garbage() {
-        assert_eq!(FleetManifest::decode(""), Err(FleetError::Header));
-        assert_eq!(
-            FleetManifest::decode("pdf-checkpoint v1\n"),
-            Err(FleetError::Header)
-        );
+        for bad in ["", "pdf-checkpoint v1\n", "pdf-fleet v1 x=1\n"] {
+            assert!(matches!(
+                FleetManifest::decode(bad),
+                Err(FleetError::Format(RecordError::Header(_)))
+            ));
+        }
         let bad = "pdf-fleet v1\nwhat is=this\n";
+        let err = FleetManifest::decode(bad).unwrap_err();
         assert!(matches!(
-            FleetManifest::decode(bad),
-            Err(FleetError::Parse { .. })
+            err,
+            FleetError::Format(RecordError::Parse { line: 2, .. })
+        ));
+        assert_eq!(err.class(), pdf_core::ErrorClass::Corrupt);
+        let dup = sample().encode().replace("epoch=7", "epoch=7 epoch=8");
+        assert!(matches!(
+            FleetManifest::decode(&dup),
+            Err(FleetError::Format(RecordError::Parse { .. }))
         ));
     }
 
@@ -310,13 +300,13 @@ mod tests {
         m.seen_valid.pop();
         assert!(matches!(
             FleetManifest::decode(&m.encode()),
-            Err(FleetError::Parse { .. })
+            Err(FleetError::Format(RecordError::Integrity(_)))
         ));
         let mut m = sample();
         m.promoted = vec![0xff00, 0x0101]; // unsorted
         assert!(matches!(
             FleetManifest::decode(&m.encode()),
-            Err(FleetError::Parse { .. })
+            Err(FleetError::Format(RecordError::Parse { .. }))
         ));
     }
 }
