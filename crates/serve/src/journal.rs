@@ -1,8 +1,8 @@
 //! The daemon's append-only transition journal (`pdf-serve v1`).
 //!
 //! Every lifecycle transition the daemon accepts is appended to
-//! `<state_dir>/serve.journal` before it takes effect, in the same
-//! header-plus-`tag k=v` line style as the workspace's other codecs:
+//! `<state_dir>/serve.journal` before it takes effect, as one `txn`
+//! line of the record codec ([`pdf_runtime::record`]):
 //!
 //! ```text
 //! pdf-serve v1
@@ -18,14 +18,16 @@
 //! each one against [`transition`](crate::lifecycle::transition).
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use pdf_chaos::{ChaosWriter, FaultPlan, OpKind};
 
+use pdf_runtime::record::{self, Record, Records};
+use pdf_runtime::RecordError;
+
 use crate::lifecycle::{Event, Phase};
-use crate::wire::WireError;
 
 /// The journal header/version line.
 pub const JOURNAL_HEADER: &str = "pdf-serve v1";
@@ -48,56 +50,42 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
+    /// The record line, without its newline: writers frame it with
+    /// `writeln!`.
     fn encode(&self) -> String {
-        let mut line = format!(
-            "txn seq={} id={} ev={} from={} to={}",
-            self.seq, self.id, self.event, self.from, self.to
-        );
+        let mut line = String::new();
+        let mut w = record::write(&mut line, "txn")
+            .dec("seq", self.seq)
+            .dec("id", self.id)
+            .raw("ev", self.event.name())
+            .raw("from", self.from.name())
+            .raw("to", self.to.name());
         if let Some(d) = self.digest {
-            line.push_str(&format!(" digest={d:016x}"));
+            w = w.hex("digest", d);
         }
+        w.end();
+        line.pop();
         line
     }
 
-    fn decode(line: &str) -> Result<JournalRecord, WireError> {
-        let rest = line
-            .strip_prefix("txn ")
-            .ok_or_else(|| WireError::BadResponse(format!("not a txn record: {line:?}")))?;
-        let mut seq = None;
-        let mut id = None;
-        let mut event = None;
-        let mut from = None;
-        let mut to = None;
-        let mut digest = None;
-        for pair in rest.split_whitespace() {
-            let (k, v) = pair.split_once('=').ok_or_else(|| WireError::BadValue {
-                key: pair.into(),
-                reason: "expected k=v".into(),
-            })?;
-            let bad = |reason: &str| WireError::BadValue {
-                key: k.into(),
-                reason: format!("{reason}: {v:?}"),
-            };
-            match k {
-                "seq" => seq = Some(v.parse().map_err(|_| bad("expected integer"))?),
-                "id" => id = Some(v.parse().map_err(|_| bad("expected integer"))?),
-                "ev" => event = Some(Event::parse(v).ok_or_else(|| bad("unknown event"))?),
-                "from" => from = Some(Phase::parse(v).ok_or_else(|| bad("unknown phase"))?),
-                "to" => to = Some(Phase::parse(v).ok_or_else(|| bad("unknown phase"))?),
-                "digest" => {
-                    digest =
-                        Some(u64::from_str_radix(v, 16).map_err(|_| bad("expected hex digest"))?)
-                }
-                other => return Err(WireError::UnexpectedKey(other.into())),
-            }
+    fn decode(rec: &Record<'_>) -> Result<JournalRecord, RecordError> {
+        if rec.tag() != "txn" {
+            return Err(rec.unknown_tag());
         }
+        rec.keys(&["seq", "id", "ev", "from", "to", "digest"])?;
+        let phase =
+            |key| Phase::parse(rec.raw(key)?).ok_or_else(|| rec.error(Some(key), "unknown phase"));
         Ok(JournalRecord {
-            seq: seq.ok_or_else(|| WireError::Missing("seq".into()))?,
-            id: id.ok_or_else(|| WireError::Missing("id".into()))?,
-            event: event.ok_or_else(|| WireError::Missing("ev".into()))?,
-            from: from.ok_or_else(|| WireError::Missing("from".into()))?,
-            to: to.ok_or_else(|| WireError::Missing("to".into()))?,
-            digest,
+            seq: rec.dec("seq")?,
+            id: rec.dec("id")?,
+            event: Event::parse(rec.raw("ev")?)
+                .ok_or_else(|| rec.error(Some("ev"), "unknown event"))?,
+            from: phase("from")?,
+            to: phase("to")?,
+            digest: rec
+                .opt("digest")
+                .map(|v| rec.hex_of("digest", v))
+                .transpose()?,
         })
     }
 }
@@ -198,23 +186,15 @@ impl Journal {
 ///
 /// I/O errors; parse failures surface as `InvalidData`.
 pub fn read_journal(path: &Path) -> std::io::Result<Vec<JournalRecord>> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let mut lines = BufReader::new(File::open(path)?).lines();
-    match lines.next() {
-        Some(Ok(h)) if h == JOURNAL_HEADER => {}
-        Some(Ok(h)) => return Err(invalid(format!("bad journal header {h:?}"))),
-        Some(Err(e)) => return Err(e),
-        None => return Err(invalid("empty journal (missing header)".into())),
-    }
-    let mut records = Vec::new();
-    for line in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        records.push(JournalRecord::decode(&line).map_err(|e| invalid(e.to_string()))?);
-    }
-    Ok(records)
+    let invalid =
+        |e: RecordError| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
+    let text = std::fs::read_to_string(path)?;
+    let (header, records) = Records::open(&text, JOURNAL_HEADER).map_err(invalid)?;
+    header.keys(&[]).map_err(invalid)?;
+    records
+        .map(|rec| JournalRecord::decode(&rec?))
+        .collect::<Result<_, _>>()
+        .map_err(invalid)
 }
 
 /// `<path><suffix>`, appended to the full file name (unlike
@@ -275,18 +255,22 @@ pub fn recover_journal(path: &Path) -> std::io::Result<RecoveredJournal> {
     if lines.last().is_some_and(String::is_empty) {
         lines.pop(); // the split artifact after a trailing newline
     }
-    let header_ok = lines.first().is_some_and(|h| h == JOURNAL_HEADER);
+    let header_ok = lines.first().is_some_and(|h| {
+        Record::parse_header(h, JOURNAL_HEADER)
+            .and_then(|h| h.keys(&[]))
+            .is_ok()
+    });
     let mut records = Vec::new();
     // Index of the first line that does NOT belong to the legal prefix.
     let mut cut = if header_ok { 1 } else { 0 };
     if header_ok {
         for (idx, line) in lines.iter().enumerate().skip(1) {
-            if line.trim().is_empty() {
-                cut = idx + 1;
-                continue;
-            }
-            match JournalRecord::decode(line) {
-                Ok(r) if r.seq == records.len() as u64 => {
+            let parsed = Record::parse(line, idx + 1)
+                .and_then(|rec| rec.map(|rec| JournalRecord::decode(&rec)).transpose());
+            match parsed {
+                // blank or comment line
+                Ok(None) => cut = idx + 1,
+                Ok(Some(r)) if r.seq == records.len() as u64 => {
                     records.push(r);
                     cut = idx + 1;
                 }
