@@ -22,24 +22,16 @@
 //! - the **coverage sets**, **valid inputs**, the **verdict cache** and
 //!   the in-flight current input.
 //!
-//! The text format follows the `pdf-journal v1` conventions: a header
-//! line, then one whitespace-separated `k=v` record per line, with byte
-//! strings hex-encoded via the record codec's
-//! [`push_hex_bytes`](pdf_runtime::record::push_hex_bytes). Unordered collections
-//! (the verdict cache, path counts) are emitted sorted, so encoding is
-//! canonical: decode ∘ encode is the identity and equal states produce
-//! equal text.
+//! The text format is written and parsed by the record codec
+//! ([`pdf_runtime::record`]): a header line, then one `tag k=v` record
+//! per line, byte strings as hex. Unordered collections (the verdict
+//! cache, path counts) are emitted sorted, so encoding is canonical:
+//! decode ∘ encode is the identity and equal states produce equal text.
 
 use std::fmt;
 
-use pdf_runtime::record::{parse_hex_bytes as hex_decode, push_hex_bytes};
-use pdf_runtime::{BranchId, BranchSet, SiteId};
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::new();
-    push_hex_bytes(&mut s, bytes);
-    s
-}
+use pdf_runtime::record::{self, Record, Records};
+use pdf_runtime::{BranchId, BranchSet, RecordError, SiteId};
 
 const HEADER: &str = "pdf-checkpoint v1";
 
@@ -144,15 +136,8 @@ pub struct Checkpoint {
 /// Why a checkpoint could not be decoded or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The text does not start with the `pdf-checkpoint v1` header.
-    Header,
-    /// A line failed to parse.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
+    /// The text failed to decode: a torn or damaged file.
+    Format(RecordError),
     /// The subject or configuration drifted since the checkpoint was
     /// taken; resuming would silently diverge instead of continuing.
     Drift(String),
@@ -163,13 +148,16 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Header => write!(f, "missing `{HEADER}` header"),
-            CheckpointError::Parse { line, reason } => {
-                write!(f, "checkpoint line {line}: {reason}")
-            }
+            CheckpointError::Format(e) => write!(f, "checkpoint: {e}"),
             CheckpointError::Drift(what) => write!(f, "checkpoint drift: {what}"),
             CheckpointError::Io(e) => write!(f, "checkpoint io: {e}"),
         }
+    }
+}
+
+impl From<RecordError> for CheckpointError {
+    fn from(e: RecordError) -> Self {
+        CheckpointError::Format(e)
     }
 }
 
@@ -198,46 +186,65 @@ pub enum ErrorClass {
 impl CheckpointError {
     /// Classifies this error for fallback decisions (see
     /// [`ErrorClass`]). Torn or truncated checkpoint files surface as
-    /// [`Header`](CheckpointError::Header) or
-    /// [`Parse`](CheckpointError::Parse) and classify as
+    /// [`Format`](CheckpointError::Format) and classify as
     /// [`Corrupt`](ErrorClass::Corrupt).
     pub fn class(&self) -> ErrorClass {
         match self {
-            CheckpointError::Header | CheckpointError::Parse { .. } => ErrorClass::Corrupt,
+            CheckpointError::Format(_) => ErrorClass::Corrupt,
             CheckpointError::Drift(_) => ErrorClass::Drift,
             CheckpointError::Io(_) => ErrorClass::Io,
         }
     }
 }
 
-/// Renders a `(site, outcome)` set as `SITE+` / `SITE-` entries joined
+/// Appends a `(site, outcome)` set as `SITE+` / `SITE-` entries joined
 /// with commas; the empty set is the single character `-`.
-fn encode_branches(set: &[(u64, bool)]) -> String {
+fn push_branches(out: &mut String, set: &[(u64, bool)]) {
     if set.is_empty() {
-        return "-".to_string();
+        out.push('-');
+        return;
     }
-    set.iter()
-        .map(|(site, outcome)| format!("{site:016x}{}", if *outcome { '+' } else { '-' }))
-        .collect::<Vec<_>>()
-        .join(",")
+    for (i, &(site, outcome)) in set.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        record::push_hex64(out, site);
+        out.push(if outcome { '+' } else { '-' });
+    }
 }
 
-fn decode_branches(s: &str) -> Option<Vec<(u64, bool)>> {
+fn parse_branches(s: &str) -> Option<Vec<(u64, bool)>> {
     if s == "-" || s.is_empty() {
         return Some(Vec::new());
     }
-    s.split(',')
-        .map(|tok| {
-            let (hex, sign) = tok.split_at(tok.len().checked_sub(1)?);
-            let outcome = match sign {
-                "+" => true,
-                "-" => false,
-                _ => return None,
-            };
-            let site = u64::from_str_radix(hex, 16).ok()?;
-            Some((site, outcome))
-        })
-        .collect()
+    let mut set = Vec::with_capacity(s.len() / 18 + 1);
+    for tok in s.split(',') {
+        set.push(match tok.strip_suffix('+') {
+            Some(hex) => (record::parse_hex64(hex)?, true),
+            None => (record::parse_hex64(tok.strip_suffix('-')?)?, false),
+        });
+    }
+    Some(set)
+}
+
+/// Appends an optional count, `-` for `None`.
+fn push_opt_dec(out: &mut String, v: Option<u64>) {
+    match v {
+        Some(n) => record::push_dec(out, n),
+        None => out.push('-'),
+    }
+}
+
+fn opt_dec(rec: &Record<'_>, key: &str) -> Result<Option<u64>, RecordError> {
+    match rec.raw(key)? {
+        "-" => Ok(None),
+        v => rec.dec_of(key, v).map(Some),
+    }
+}
+
+fn branches(rec: &Record<'_>, key: &str) -> Result<Vec<(u64, bool)>, RecordError> {
+    let v = rec.raw(key)?;
+    parse_branches(v).ok_or_else(|| rec.error(Some(key), format!("bad branch set {v:?}")))
 }
 
 /// Rebuilds a [`BranchSet`] from serialized (site, outcome) pairs.
@@ -254,119 +261,90 @@ pub(crate) fn branch_pairs_of(set: &BranchSet) -> Vec<(u64, bool)> {
     set.iter().map(|b| (b.site.0, b.outcome)).collect()
 }
 
-/// One parsed `k=v` line: the leading tag plus the key/value pairs.
-struct Record<'a> {
-    tag: &'a str,
-    pairs: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Record<'a> {
-    fn parse(line: &'a str) -> Option<Record<'a>> {
-        let mut toks = line.split_whitespace();
-        let tag = toks.next()?;
-        let mut pairs = Vec::new();
-        for tok in toks {
-            let (k, v) = tok.split_once('=')?;
-            pairs.push((k, v));
-        }
-        Some(Record { tag, pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn u64_of(&self, key: &str) -> Option<u64> {
-        self.get(key)?.parse().ok()
-    }
-
-    fn hex_u64_of(&self, key: &str) -> Option<u64> {
-        u64::from_str_radix(self.get(key)?, 16).ok()
-    }
-
-    fn bytes_of(&self, key: &str) -> Option<Vec<u8>> {
-        hex_decode(self.get(key)?)
-    }
-
-    fn branches_of(&self, key: &str) -> Option<Vec<(u64, bool)>> {
-        decode_branches(self.get(key)?)
-    }
-}
-
 impl Checkpoint {
     /// Renders the checkpoint as `pdf-checkpoint v1` text.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "{HEADER}");
-        let first = match self.first_valid_execs {
-            Some(n) => n.to_string(),
-            None => "-".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "meta subject={} cfg={:016x} seed={} draws={} primed={} execs={} events={} \
-             hangs={} crashes={} first={first} parents={} qseq={} qvbr={} qpops={}",
-            self.subject,
-            self.config_hash,
-            self.seed,
-            self.draws,
-            self.primed as u8,
-            self.execs,
-            self.events,
-            self.hangs,
-            self.crashes,
-            self.parents,
-            self.queue.seq,
-            self.queue.last_vbr_len,
-            self.queue.pops_since_rebuild,
-        );
-        let _ = writeln!(out, "decisions hex={}", hex_encode(&self.decisions));
-        let _ = writeln!(out, "current hex={}", hex_encode(&self.current));
+        record::write(&mut out, HEADER).end();
+        record::write(&mut out, "meta")
+            .raw("subject", &self.subject)
+            .hex("cfg", self.config_hash)
+            .dec("seed", self.seed)
+            .dec("draws", self.draws)
+            .dec("primed", u64::from(self.primed))
+            .dec("execs", self.execs)
+            .dec("events", self.events)
+            .dec("hangs", self.hangs)
+            .dec("crashes", self.crashes)
+            .with("first", |o| push_opt_dec(o, self.first_valid_execs))
+            .dec("parents", self.parents)
+            .dec("qseq", self.queue.seq)
+            .dec("qvbr", self.queue.last_vbr_len)
+            .dec("qpops", self.queue.pops_since_rebuild)
+            .end();
+        record::write(&mut out, "decisions")
+            .bytes("hex", &self.decisions)
+            .end();
+        record::write(&mut out, "current")
+            .bytes("hex", &self.current)
+            .end();
         for (input, at) in &self.valid {
-            let _ = writeln!(out, "valid at={at} hex={}", hex_encode(input));
+            record::write(&mut out, "valid")
+                .dec("at", *at)
+                .bytes("hex", input)
+                .end();
         }
-        let _ = writeln!(out, "vbr set={}", encode_branches(&self.valid_branches));
-        let _ = writeln!(out, "abr set={}", encode_branches(&self.all_branches));
-        let _ = writeln!(out, "sbr set={}", encode_branches(&self.steer_branches));
+        for (tag, set) in [
+            ("vbr", &self.valid_branches),
+            ("abr", &self.all_branches),
+            ("sbr", &self.steer_branches),
+        ] {
+            record::write(&mut out, tag)
+                .with("set", |o| push_branches(o, set))
+                .end();
+        }
         if self.tier_max_rejection.is_some() || !self.tier_fingerprints.is_empty() {
-            let maxrej = match self.tier_max_rejection {
-                Some(n) => n.to_string(),
-                None => "-".to_string(),
-            };
-            let fps = if self.tier_fingerprints.is_empty() {
-                "-".to_string()
-            } else {
-                self.tier_fingerprints
-                    .iter()
-                    .map(|f| format!("{f:016x}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            let _ = writeln!(out, "tier maxrej={maxrej} fps={fps}");
+            record::write(&mut out, "tier")
+                .with("maxrej", |o| push_opt_dec(o, self.tier_max_rejection))
+                .with("fps", |o| {
+                    if self.tier_fingerprints.is_empty() {
+                        o.push('-');
+                    }
+                    for (i, &fp) in self.tier_fingerprints.iter().enumerate() {
+                        if i > 0 {
+                            o.push(',');
+                        }
+                        record::push_hex64(o, fp);
+                    }
+                })
+                .end();
         }
         for input in &self.known_invalid {
-            let _ = writeln!(out, "inv hex={}", hex_encode(input));
+            record::write(&mut out, "inv").bytes("hex", input).end();
         }
         for (tok, n) in &self.mined {
-            let _ = writeln!(out, "mine n={n} hex={}", hex_encode(tok));
+            record::write(&mut out, "mine")
+                .dec("n", *n)
+                .bytes("hex", tok)
+                .end();
         }
-        for (hash, n) in &self.queue.path_counts {
-            let _ = writeln!(out, "path hash={hash:016x} n={n}");
+        for &(hash, n) in &self.queue.path_counts {
+            record::write(&mut out, "path")
+                .hex("hash", hash)
+                .dec("n", n)
+                .end();
         }
         for item in &self.queue.items {
-            let _ = writeln!(
-                out,
-                "item score={:016x} seq={} repl={} par={} path={:016x} stack={:016x} pb={} hex={}",
-                item.score_bits,
-                item.seq,
-                item.replacement_len,
-                item.num_parents,
-                item.path_hash,
-                item.avg_stack_bits,
-                encode_branches(&item.parent_branches),
-                hex_encode(&item.input),
-            );
+            record::write(&mut out, "item")
+                .hex("score", item.score_bits)
+                .dec("seq", item.seq)
+                .dec("repl", item.replacement_len)
+                .dec("par", item.num_parents)
+                .hex("path", item.path_hash)
+                .hex("stack", item.avg_stack_bits)
+                .with("pb", |o| push_branches(o, &item.parent_branches))
+                .bytes("hex", &item.input)
+                .end();
         }
         out
     }
@@ -375,131 +353,106 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Header`] on a missing header,
-    /// [`CheckpointError::Parse`] on any malformed line.
+    /// [`CheckpointError::Format`] on a missing header or any malformed
+    /// line.
     pub fn decode(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, l)) if l.trim() == HEADER => {}
-            _ => return Err(CheckpointError::Header),
-        }
+        let (header, records) = Records::open(text, HEADER)?;
+        header.keys(&[])?;
         let mut ck = Checkpoint::default();
         let mut saw_meta = false;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let err = |reason: &str| CheckpointError::Parse {
-                line: lineno,
-                reason: reason.to_string(),
-            };
-            let rec = Record::parse(line).ok_or_else(|| err("malformed k=v line"))?;
-            match rec.tag {
+        for rec in records {
+            let rec = rec?;
+            match rec.tag() {
                 "meta" => {
-                    ck.subject = rec
-                        .get("subject")
-                        .ok_or_else(|| err("missing subject"))?
-                        .to_string();
-                    ck.config_hash = rec.hex_u64_of("cfg").ok_or_else(|| err("bad cfg"))?;
-                    ck.seed = rec.u64_of("seed").ok_or_else(|| err("bad seed"))?;
-                    ck.draws = rec.u64_of("draws").ok_or_else(|| err("bad draws"))?;
-                    ck.primed = match rec.get("primed") {
-                        Some("0") => false,
-                        Some("1") => true,
-                        _ => return Err(err("bad primed")),
+                    rec.keys(&[
+                        "subject", "cfg", "seed", "draws", "primed", "execs", "events", "hangs",
+                        "crashes", "first", "parents", "qseq", "qvbr", "qpops",
+                    ])?;
+                    ck.subject = rec.raw("subject")?.to_string();
+                    ck.config_hash = rec.hex("cfg")?;
+                    ck.seed = rec.dec("seed")?;
+                    ck.draws = rec.dec("draws")?;
+                    ck.primed = match rec.dec("primed")? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err(rec.error(Some("primed"), "expected 0 or 1").into()),
                     };
-                    ck.execs = rec.u64_of("execs").ok_or_else(|| err("bad execs"))?;
-                    ck.events = rec.u64_of("events").ok_or_else(|| err("bad events"))?;
-                    ck.hangs = rec.u64_of("hangs").ok_or_else(|| err("bad hangs"))?;
-                    ck.crashes = rec.u64_of("crashes").ok_or_else(|| err("bad crashes"))?;
-                    ck.first_valid_execs = match rec.get("first") {
-                        Some("-") => None,
-                        Some(n) => Some(n.parse().map_err(|_| err("bad first"))?),
-                        None => return Err(err("missing first")),
-                    };
-                    ck.parents = rec.u64_of("parents").ok_or_else(|| err("bad parents"))?;
-                    ck.queue.seq = rec.u64_of("qseq").ok_or_else(|| err("bad qseq"))?;
-                    ck.queue.last_vbr_len = rec.u64_of("qvbr").ok_or_else(|| err("bad qvbr"))?;
-                    ck.queue.pops_since_rebuild =
-                        rec.u64_of("qpops").ok_or_else(|| err("bad qpops"))?;
+                    ck.execs = rec.dec("execs")?;
+                    ck.events = rec.dec("events")?;
+                    ck.hangs = rec.dec("hangs")?;
+                    ck.crashes = rec.dec("crashes")?;
+                    ck.first_valid_execs = opt_dec(&rec, "first")?;
+                    ck.parents = rec.dec("parents")?;
+                    ck.queue.seq = rec.dec("qseq")?;
+                    ck.queue.last_vbr_len = rec.dec("qvbr")?;
+                    ck.queue.pops_since_rebuild = rec.dec("qpops")?;
                     saw_meta = true;
                 }
                 "decisions" => {
-                    ck.decisions = rec.bytes_of("hex").ok_or_else(|| err("bad hex"))?;
+                    rec.keys(&["hex"])?;
+                    ck.decisions = rec.bytes("hex")?;
                 }
                 "current" => {
-                    ck.current = rec.bytes_of("hex").ok_or_else(|| err("bad hex"))?;
+                    rec.keys(&["hex"])?;
+                    ck.current = rec.bytes("hex")?;
                 }
                 "valid" => {
-                    let at = rec.u64_of("at").ok_or_else(|| err("bad at"))?;
-                    let input = rec.bytes_of("hex").ok_or_else(|| err("bad hex"))?;
-                    ck.valid.push((input, at));
+                    rec.keys(&["at", "hex"])?;
+                    ck.valid.push((rec.bytes("hex")?, rec.dec("at")?));
                 }
                 "vbr" => {
-                    ck.valid_branches = rec.branches_of("set").ok_or_else(|| err("bad set"))?;
+                    rec.keys(&["set"])?;
+                    ck.valid_branches = branches(&rec, "set")?;
                 }
                 "abr" => {
-                    ck.all_branches = rec.branches_of("set").ok_or_else(|| err("bad set"))?;
+                    rec.keys(&["set"])?;
+                    ck.all_branches = branches(&rec, "set")?;
                 }
                 "sbr" => {
-                    ck.steer_branches = rec.branches_of("set").ok_or_else(|| err("bad set"))?;
-                }
-                "inv" => {
-                    ck.known_invalid
-                        .push(rec.bytes_of("hex").ok_or_else(|| err("bad hex"))?);
-                }
-                "mine" => {
-                    let n = rec.u64_of("n").ok_or_else(|| err("bad n"))?;
-                    let tok = rec.bytes_of("hex").ok_or_else(|| err("bad hex"))?;
-                    ck.mined.push((tok, n));
+                    rec.keys(&["set"])?;
+                    ck.steer_branches = branches(&rec, "set")?;
                 }
                 "tier" => {
-                    ck.tier_max_rejection = match rec.get("maxrej") {
-                        Some("-") => None,
-                        Some(n) => Some(n.parse().map_err(|_| err("bad maxrej"))?),
-                        None => return Err(err("missing maxrej")),
-                    };
-                    ck.tier_fingerprints = match rec.get("fps") {
-                        Some("-") => Vec::new(),
-                        Some(s) => s
+                    rec.keys(&["maxrej", "fps"])?;
+                    ck.tier_max_rejection = opt_dec(&rec, "maxrej")?;
+                    ck.tier_fingerprints = match rec.raw("fps")? {
+                        "-" => Vec::new(),
+                        v => v
                             .split(',')
-                            .map(|tok| u64::from_str_radix(tok, 16))
-                            .collect::<Result<_, _>>()
-                            .map_err(|_| err("bad fps"))?,
-                        None => return Err(err("missing fps")),
+                            .map(|fp| rec.hex_of("fps", fp))
+                            .collect::<Result<_, _>>()?,
                     };
+                }
+                "inv" => {
+                    rec.keys(&["hex"])?;
+                    ck.known_invalid.push(rec.bytes("hex")?);
+                }
+                "mine" => {
+                    rec.keys(&["n", "hex"])?;
+                    ck.mined.push((rec.bytes("hex")?, rec.dec("n")?));
                 }
                 "path" => {
-                    let hash = rec.hex_u64_of("hash").ok_or_else(|| err("bad hash"))?;
-                    let n = rec.u64_of("n").ok_or_else(|| err("bad n"))?;
-                    ck.queue.path_counts.push((hash, n));
+                    rec.keys(&["hash", "n"])?;
+                    ck.queue.path_counts.push((rec.hex("hash")?, rec.dec("n")?));
                 }
                 "item" => {
+                    rec.keys(&["score", "seq", "repl", "par", "path", "stack", "pb", "hex"])?;
                     ck.queue.items.push(QueueItemSnapshot {
-                        score_bits: rec.hex_u64_of("score").ok_or_else(|| err("bad score"))?,
-                        seq: rec.u64_of("seq").ok_or_else(|| err("bad seq"))?,
-                        replacement_len: rec.u64_of("repl").ok_or_else(|| err("bad repl"))?,
-                        num_parents: rec.u64_of("par").ok_or_else(|| err("bad par"))?,
-                        path_hash: rec.hex_u64_of("path").ok_or_else(|| err("bad path"))?,
-                        avg_stack_bits: rec.hex_u64_of("stack").ok_or_else(|| err("bad stack"))?,
-                        parent_branches: rec.branches_of("pb").ok_or_else(|| err("bad pb"))?,
-                        input: rec.bytes_of("hex").ok_or_else(|| err("bad hex"))?,
+                        score_bits: rec.hex("score")?,
+                        seq: rec.dec("seq")?,
+                        replacement_len: rec.dec("repl")?,
+                        num_parents: rec.dec("par")?,
+                        path_hash: rec.hex("path")?,
+                        avg_stack_bits: rec.hex("stack")?,
+                        parent_branches: branches(&rec, "pb")?,
+                        input: rec.bytes("hex")?,
                     });
                 }
-                other => {
-                    return Err(CheckpointError::Parse {
-                        line: lineno,
-                        reason: format!("unknown record tag {other:?}"),
-                    })
-                }
+                _ => return Err(rec.unknown_tag().into()),
             }
         }
         if !saw_meta {
-            return Err(CheckpointError::Parse {
-                line: 0,
-                reason: "no meta record".to_string(),
-            });
+            return Err(RecordError::Integrity("no meta record".to_string()).into());
         }
         Ok(ck)
     }
@@ -575,8 +528,18 @@ mod tests {
 
     #[test]
     fn header_is_required() {
-        assert_eq!(Checkpoint::decode("nope"), Err(CheckpointError::Header));
-        assert_eq!(Checkpoint::decode(""), Err(CheckpointError::Header));
+        for bad in ["nope", "", "pdf-checkpoint v1 x=1\n"] {
+            let err = Checkpoint::decode(bad).unwrap_err();
+            assert!(matches!(
+                err,
+                CheckpointError::Format(RecordError::Header(_))
+            ));
+            assert_eq!(err.class(), ErrorClass::Corrupt);
+        }
+        assert!(matches!(
+            Checkpoint::decode(&format!("{HEADER}\n")),
+            Err(CheckpointError::Format(RecordError::Integrity(_)))
+        ));
     }
 
     #[test]
@@ -584,14 +547,22 @@ mod tests {
         let mut text = sample().encode();
         text.push_str("garbage notkv\n");
         match Checkpoint::decode(&text) {
-            Err(CheckpointError::Parse { line, .. }) => assert!(line > 1),
+            Err(CheckpointError::Format(RecordError::Parse { line, .. })) => assert!(line > 1),
             other => panic!("expected parse error, got {other:?}"),
         }
         let bad_hex = format!("{HEADER}\nmeta subject=s cfg=zz seed=0 draws=0 primed=1 execs=0 events=0 hangs=0 crashes=0 first=- parents=0 qseq=0 qvbr=0 qpops=0\n");
         assert!(matches!(
             Checkpoint::decode(&bad_hex),
-            Err(CheckpointError::Parse { .. })
+            Err(CheckpointError::Format(RecordError::Parse { .. }))
         ));
+        // one key policy: unknown and duplicate keys are rejected
+        for edit in ["seq=7 x=1", "seq=7 seq=7"] {
+            let text = sample().encode().replacen("seq=8", edit, 1);
+            assert!(matches!(
+                Checkpoint::decode(&text),
+                Err(CheckpointError::Format(RecordError::Parse { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -636,13 +607,18 @@ mod tests {
 
     #[test]
     fn branch_list_encoding_is_exact() {
-        assert_eq!(encode_branches(&[]), "-");
+        let mut s = String::new();
+        push_branches(&mut s, &[]);
+        assert_eq!(s, "-");
         let pairs = vec![(0x10, true), (0x20, false)];
-        let s = encode_branches(&pairs);
-        assert_eq!(decode_branches(&s), Some(pairs));
-        assert_eq!(decode_branches("-"), Some(Vec::new()));
-        assert_eq!(decode_branches("zz+"), None);
-        assert_eq!(decode_branches("10?"), None);
+        let mut s = String::new();
+        push_branches(&mut s, &pairs);
+        assert_eq!(s, "0000000000000010+,0000000000000020-");
+        assert_eq!(parse_branches(&s), Some(pairs));
+        assert_eq!(parse_branches("-"), Some(Vec::new()));
+        assert_eq!(parse_branches("zz+"), None);
+        assert_eq!(parse_branches("0000000000000010?"), None);
+        assert_eq!(parse_branches("000000000000001é"), None);
     }
 
     #[test]
