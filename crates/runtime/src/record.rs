@@ -129,13 +129,20 @@ pub fn push_hex_bytes(out: &mut String, bytes: &[u8]) {
     );
 }
 
-fn nibble(b: u8) -> Option<u8> {
-    match b {
-        b'0'..=b'9' => Some(b - b'0'),
-        b'a'..=b'f' => Some(b - b'a' + 10),
-        b'A'..=b'F' => Some(b - b'A' + 10),
-        _ => None,
+/// Hex digit values by byte; `0xff` for a non-digit.
+const HEX_VALUES: [u8; 256] = {
+    let mut t = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[HEX_DIGITS[i] as usize] = i as u8;
+        t[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
     }
+    t
+};
+
+fn nibble(b: u8) -> Option<u8> {
+    Some(HEX_VALUES[usize::from(b)]).filter(|&v| v < 16)
 }
 
 /// Parses a decimal `u64`: one or more ASCII digits, no sign.
@@ -217,7 +224,7 @@ impl RecordWriter<'_> {
     /// Panics if `v` contains whitespace, which would break the framing.
     pub fn raw(mut self, key: &str, v: &str) -> Self {
         assert!(
-            !v.contains(char::is_whitespace),
+            !v.bytes().any(|b| b.is_ascii_whitespace()),
             "unencodable {key} value {v:?}"
         );
         self.key(key);
@@ -256,7 +263,7 @@ impl<'a> Record<'a> {
     ///
     /// [`RecordError::Parse`] when a field is not `key=value`.
     pub fn parse(text: &'a str, line: usize) -> Result<Option<Record<'a>>, RecordError> {
-        let mut toks = text.split_whitespace();
+        let mut toks = text.split_ascii_whitespace();
         let Some(tag) = toks.next().filter(|t| !t.starts_with('#')) else {
             return Ok(None);
         };
@@ -279,9 +286,9 @@ impl<'a> Record<'a> {
     /// field is not `key=value`.
     pub fn parse_header(text: &'a str, header: &'a str) -> Result<Record<'a>, RecordError> {
         let rest = text
-            .trim()
+            .trim_ascii()
             .strip_prefix(header)
-            .filter(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace))
+            .filter(|rest| rest.is_empty() || rest.starts_with(|c: char| c.is_ascii_whitespace()))
             .ok_or_else(|| RecordError::Header(format!("expected `{header}`, got {text:?}")))?;
         let mut rec = Record {
             line: 1,
@@ -289,7 +296,7 @@ impl<'a> Record<'a> {
             tag: header,
             pairs: Vec::new(),
         };
-        rec.pairs = rec.split_pairs(rest.split_whitespace())?;
+        rec.pairs = rec.split_pairs(rest.split_ascii_whitespace())?;
         Ok(rec)
     }
 
