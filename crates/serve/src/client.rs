@@ -13,6 +13,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use pdf_chaos::Backoff;
+use pdf_runtime::Digest;
 
 use crate::wire::{
     read_capped_line, status_from_fields, CampaignSpec, CampaignStatus, Request, Response,
@@ -327,17 +328,6 @@ fn retryable(e: &ClientError) -> bool {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// A self-healing client: lazily connects, reconnects with seeded
 /// jittered-exponential backoff on transport failure, and honors the
 /// server's `retry-after-ms` shed hints. See the [module docs](self).
@@ -455,11 +445,10 @@ impl RetryClient {
     pub fn submit(&mut self, spec: &CampaignSpec) -> Result<u64, ClientError> {
         let mut spec = spec.clone();
         if spec.idempotency_key.is_none() {
-            let line = Request::Submit(spec.clone()).encode();
-            spec.idempotency_key = Some(format!(
-                "auto-{:016x}",
-                fnv1a(self.policy.seed, line.as_bytes())
-            ));
+            let mut key = Digest::new();
+            key.write_u64(self.policy.seed);
+            key.write_str(&Request::Submit(spec.clone()).encode());
+            spec.idempotency_key = Some(format!("auto-{:016x}", key.finish()));
         }
         self.with_client(|c| c.submit(&spec))
     }
