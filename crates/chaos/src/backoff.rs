@@ -10,12 +10,7 @@
 
 use std::time::Duration;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use pdf_runtime::splitmix64;
 
 /// A deterministic jittered-exponential retry schedule.
 ///

@@ -16,6 +16,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pdf_runtime::splitmix64;
+
 /// What kind of I/O operation is asking for a fault decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OpKind {
@@ -188,14 +190,6 @@ impl FaultSpec {
             ],
         }
     }
-}
-
-/// SplitMix64 — the workspace's standard seed scrambler.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A seeded fault schedule plus per-kind occurrence counters.

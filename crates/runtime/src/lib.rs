@@ -73,7 +73,7 @@ pub use events::{
 pub use isolate::catch_silent;
 pub use journal::{digest_bytes, CellRecord, Digest, Journal};
 pub use record::RecordError;
-pub use rng::{DerivedRng, Rng};
+pub use rng::{splitmix64, DerivedRng, Rng};
 pub use sink::{
     CovSummary, CoverageOnly, EventSink, FailureSummary, FastFailure, FastSummary, FullLog,
     LastFailure,

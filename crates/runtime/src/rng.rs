@@ -25,9 +25,21 @@ pub struct Rng {
     digest: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+/// SplitMix64's state increment (the golden-ratio gamma).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 as a pure function: the value a SplitMix64 generator in
+/// state `x` produces next. The workspace's one seed scrambler: it
+/// seeds [`Rng`], drives [`DerivedRng`], and makes `pdf-chaos` fault
+/// and backoff schedules pure functions of their seed.
+///
+/// ```
+/// use pdf_runtime::splitmix64;
+/// assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// ```
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -36,14 +48,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 impl Rng {
     /// Creates a generator from a seed. Equal seeds produce equal streams.
     pub fn new(seed: u64) -> Self {
-        let mut sm = seed;
         Rng {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: [0, 1, 2, 3].map(|i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(GAMMA)))),
             draws: 0,
             digest: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
         }
@@ -186,7 +192,9 @@ impl DerivedRng {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        splitmix64(&mut self.state)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        out
     }
 
     /// Uniform index in `[0, n)` by multiply-shift (one draw, no
