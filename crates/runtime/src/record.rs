@@ -1,27 +1,12 @@
-//! The record codec under the workspace's at-rest file formats
-//! (`pdf-journal`, `pdf-checkpoint`, `pdf-fleet`, `pdf-serve`,
-//! `pdf-dict`, `pdf-grammar`).
-//!
-//! A file is a header line `name v1`, optionally followed by ` key=value`
-//! header fields, then one record per line: a tag followed by
-//! whitespace-separated ` key=value` fields. Blank lines and lines
-//! starting with `#` are skipped. Values never contain whitespace; the
-//! four field kinds are
-//!
-//! | kind | written as | read by |
-//! |---|---|---|
-//! | decimal `u64` | `seed=7` | [`Record::dec`] |
-//! | hex `u64` | `cfg=00000000deadbeef`, exactly 16 digits | [`Record::hex`] |
-//! | hex bytes | `hex=0aff`, two digits per byte | [`Record::bytes`] |
-//! | raw token | `subject=mjs` | [`Record::raw`] |
-//!
-//! Key policy, one for every format: keys may come in any order; a key
-//! the format does not know, or a key given twice, is an error
-//! ([`Record::keys`]). Records whose fields form a sequence (a grammar
-//! alternative's symbols) read [`Record::pairs`] in order instead.
-//!
-//! Every decoding failure is one [`RecordError`], carrying the line
-//! number and key where it has them.
+//! One codec kernel under the six at-rest line formats (`pdf-journal`,
+//! `pdf-checkpoint`, `pdf-fleet`, `pdf-serve`, `pdf-dict`,
+//! `pdf-grammar`). A file is a `name v1` header line with optional
+//! `key=value` fields, then one `tag key=value ...` record per line;
+//! blank and `#` lines are skipped. Values hold no whitespace. Field
+//! kinds: decimal `u64`, 16-digit hex `u64`, hex bytes and raw tokens.
+//! One key policy ([`Record::keys`]): any order, unknown and duplicate
+//! keys rejected. Every failure is one [`RecordError`]. DESIGN.md §8
+//! has the grammar and the reasons three other formats stay out.
 //!
 //! ```
 //! use pdf_runtime::record::{write, Records};
@@ -32,33 +17,30 @@
 //! assert_eq!(text, "pdf-demo v1 items=1\nitem id=00000000000000ab hex=0aff\n");
 //!
 //! let (header, mut records) = Records::open(&text, "pdf-demo v1").unwrap();
-//! header.keys(&["items"]).unwrap();
 //! assert_eq!(header.dec("items").unwrap(), 1);
 //! let item = records.next().unwrap().unwrap();
 //! item.keys(&["id", "hex"]).unwrap();
-//! assert_eq!((item.tag(), item.hex("id").unwrap()), ("item", 0xab));
 //! assert_eq!(item.bytes("hex").unwrap(), b"\n\xff");
-//! assert!(records.next().is_none());
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Why a record file could not be decoded, or read or written.
+/// Why a record file could not be decoded, read or written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordError {
-    /// The header line is missing, names another format or version, or
-    /// has a malformed, unknown, duplicate or missing field.
+    /// Empty file, another format or version, or a bad, unknown,
+    /// duplicate or missing header field.
     Header(String),
-    /// A record line could not be parsed.
+    /// A record line that does not parse.
     Parse {
-        /// 1-based line number of the bad record.
+        /// 1-based line number.
         line: usize,
         /// The field at fault, when one is.
         key: Option<String>,
         /// What was wrong.
         message: String,
     },
-    /// The records parse but disagree with the header's counts or
+    /// Records that parse but disagree with the header's counts or
     /// digest, or with each other.
     Integrity(String),
     /// The file could not be read or written.
@@ -69,16 +51,10 @@ impl fmt::Display for RecordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecordError::Header(m) => write!(f, "bad header: {m}"),
-            RecordError::Parse {
-                line,
-                key: Some(key),
-                message,
-            } => write!(f, "line {line}, key `{key}`: {message}"),
-            RecordError::Parse {
-                line,
-                key: None,
-                message,
-            } => write!(f, "line {line}: {message}"),
+            RecordError::Parse { line, key, message } => match key {
+                Some(key) => write!(f, "line {line}, key `{key}`: {message}"),
+                None => write!(f, "line {line}: {message}"),
+            },
             RecordError::Integrity(m) => write!(f, "integrity check failed: {m}"),
             RecordError::Io(m) => write!(f, "io error: {m}"),
         }
@@ -90,18 +66,8 @@ impl std::error::Error for RecordError {}
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Appends `v` in decimal.
-pub fn push_dec(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend(buf[i..].iter().map(|&b| char::from(b)));
+pub fn push_dec(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
 }
 
 /// Appends `v` as exactly 16 lowercase hex digits.
@@ -113,58 +79,35 @@ pub fn push_hex64(out: &mut String, v: u64) {
     );
 }
 
-/// Appends `bytes` as lowercase hex, two digits per byte.
-pub fn push_hex_bytes(out: &mut String, bytes: &[u8]) {
+fn push_hex_bytes(out: &mut String, bytes: &[u8]) {
     out.reserve(bytes.len() * 2);
-    out.extend(
-        bytes
-            .iter()
-            .flat_map(|&b| {
-                [
-                    HEX_DIGITS[usize::from(b >> 4)],
-                    HEX_DIGITS[usize::from(b & 15)],
-                ]
-            })
-            .map(char::from),
-    );
-}
-
-/// Hex digit values by byte; `0xff` for a non-digit.
-const HEX_VALUES: [u8; 256] = {
-    let mut t = [0xff; 256];
-    let mut i = 0;
-    while i < 16 {
-        t[HEX_DIGITS[i] as usize] = i as u8;
-        t[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
-        i += 1;
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 15)]));
     }
-    t
-};
+}
 
 fn nibble(b: u8) -> Option<u8> {
-    Some(HEX_VALUES[usize::from(b)]).filter(|&v| v < 16)
+    char::from(b).to_digit(16).map(|d| d as u8)
 }
 
-/// Parses a decimal `u64`: one or more ASCII digits, no sign.
-pub fn parse_dec(s: &str) -> Option<u64> {
+fn parse_dec(s: &str) -> Option<u64> {
     if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
     s.parse().ok()
 }
 
-/// Parses a hex `u64` written by [`push_hex64`]: exactly 16 digits.
+/// Parses exactly 16 hex digits, as [`push_hex64`] writes them.
 pub fn parse_hex64(s: &str) -> Option<u64> {
     if s.len() != 16 {
         return None;
     }
     s.bytes()
-        .try_fold(0u64, |acc, b| Some(acc << 4 | u64::from(nibble(b)?)))
+        .try_fold(0, |acc, b| Some(acc << 4 | u64::from(nibble(b)?)))
 }
 
-/// Parses hex bytes written by [`push_hex_bytes`]; `None` on odd length
-/// or a non-hex digit.
-pub fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
+fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
@@ -175,69 +118,53 @@ pub fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Starts a record line in `out` with `tag` (or a whole `name v1`
-/// header). Add fields, then call [`RecordWriter::end`].
+/// Starts a record line (or a whole `name v1` header) in `out`; add
+/// fields, then [`RecordWriter::end`] it.
 pub fn write<'a>(out: &'a mut String, tag: &str) -> RecordWriter<'a> {
     out.push_str(tag);
     RecordWriter { out }
 }
 
-/// Writes the ` key=value` fields of one record line straight into the
-/// caller's buffer.
+/// Appends ` key=value` fields straight into the caller's buffer.
 #[must_use = "call `end` to terminate the record line"]
 pub struct RecordWriter<'a> {
     out: &'a mut String,
 }
 
 impl RecordWriter<'_> {
-    fn key(&mut self, key: &str) {
+    /// A field whose value `f` appends (a format's own list encoding,
+    /// which must not contain whitespace).
+    pub fn with(self, key: &str, f: impl FnOnce(&mut String)) -> Self {
         self.out.push(' ');
         self.out.push_str(key);
         self.out.push('=');
+        f(self.out);
+        self
     }
 
     /// A decimal `u64` field.
-    pub fn dec(mut self, key: &str, v: u64) -> Self {
-        self.key(key);
-        push_dec(self.out, v);
-        self
+    pub fn dec(self, key: &str, v: u64) -> Self {
+        self.with(key, |o| push_dec(o, v))
     }
 
-    /// A fixed-width 16-digit hex `u64` field.
-    pub fn hex(mut self, key: &str, v: u64) -> Self {
-        self.key(key);
-        push_hex64(self.out, v);
-        self
+    /// A 16-digit hex `u64` field.
+    pub fn hex(self, key: &str, v: u64) -> Self {
+        self.with(key, |o| push_hex64(o, v))
     }
 
-    /// A hex bytes field (arbitrary bytes survive the line format).
-    pub fn bytes(mut self, key: &str, v: &[u8]) -> Self {
-        self.key(key);
-        push_hex_bytes(self.out, v);
-        self
+    /// A hex bytes field: arbitrary bytes survive the line format.
+    pub fn bytes(self, key: &str, v: &[u8]) -> Self {
+        self.with(key, |o| push_hex_bytes(o, v))
     }
 
-    /// A raw token field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` contains whitespace, which would break the framing.
-    pub fn raw(mut self, key: &str, v: &str) -> Self {
+    /// A raw token field; panics if `v` holds whitespace, which would
+    /// break the framing.
+    pub fn raw(self, key: &str, v: &str) -> Self {
         assert!(
             !v.bytes().any(|b| b.is_ascii_whitespace()),
             "unencodable {key} value {v:?}"
         );
-        self.key(key);
-        self.out.push_str(v);
-        self
-    }
-
-    /// A field whose value `f` appends (a format's own list encoding);
-    /// it must not write whitespace.
-    pub fn with(mut self, key: &str, f: impl FnOnce(&mut String)) -> Self {
-        self.key(key);
-        f(self.out);
-        self
+        self.with(key, |o| o.push_str(v))
     }
 
     /// Terminates the line.
@@ -249,90 +176,66 @@ impl RecordWriter<'_> {
 /// One parsed line: the tag plus its `key=value` pairs, in order.
 #[derive(Debug, Clone)]
 pub struct Record<'a> {
+    /// 1-based line number; 0 for a header, whose errors are
+    /// [`RecordError::Header`].
     line: usize,
-    header: bool,
     tag: &'a str,
     pairs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Record<'a> {
-    /// Parses line `line` (1-based) of a file. `Ok(None)` for a blank
-    /// or `#` comment line.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordError::Parse`] when a field is not `key=value`.
-    pub fn parse(text: &'a str, line: usize) -> Result<Option<Record<'a>>, RecordError> {
-        let mut toks = text.split_ascii_whitespace();
-        let Some(tag) = toks.next().filter(|t| !t.starts_with('#')) else {
-            return Ok(None);
-        };
+    fn new(line: usize, tag: &'a str, fields: &'a str) -> Result<Record<'a>, RecordError> {
         let mut rec = Record {
             line,
-            header: false,
             tag,
             pairs: Vec::new(),
         };
-        rec.pairs = rec.split_pairs(toks)?;
-        Ok(Some(rec))
+        for tok in fields.split_ascii_whitespace() {
+            let pair = tok.split_once('=');
+            rec.pairs.push(
+                pair.ok_or_else(|| rec.error(None, format!("expected key=value, got {tok:?}")))?,
+            );
+        }
+        Ok(rec)
     }
 
-    /// Parses a header line: `header` (`name v1`) followed by optional
-    /// `key=value` fields.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordError::Header`] when the line is another header or a
-    /// field is not `key=value`.
+    /// Parses 1-based line `line` of a file; `Ok(None)` for a blank or
+    /// `#` line, [`RecordError::Parse`] for a field that is not
+    /// `key=value`.
+    pub fn parse(text: &'a str, line: usize) -> Result<Option<Record<'a>>, RecordError> {
+        let text = text.trim_ascii_start();
+        let (tag, fields) = text
+            .split_once(|c: char| c.is_ascii_whitespace())
+            .unwrap_or((text, ""));
+        if tag.is_empty() || tag.starts_with('#') {
+            return Ok(None);
+        }
+        Record::new(line, tag, fields).map(Some)
+    }
+
+    /// Parses a header line: `header` (`name v1`) plus optional fields;
+    /// [`RecordError::Header`] if it is another header.
     pub fn parse_header(text: &'a str, header: &'a str) -> Result<Record<'a>, RecordError> {
-        let rest = text
+        let fields = text
             .trim_ascii()
             .strip_prefix(header)
             .filter(|rest| rest.is_empty() || rest.starts_with(|c: char| c.is_ascii_whitespace()))
             .ok_or_else(|| RecordError::Header(format!("expected `{header}`, got {text:?}")))?;
-        let mut rec = Record {
-            line: 1,
-            header: true,
-            tag: header,
-            pairs: Vec::new(),
-        };
-        rec.pairs = rec.split_pairs(rest.split_ascii_whitespace())?;
-        Ok(rec)
+        Record::new(0, header, fields)
     }
 
-    fn split_pairs(
-        &self,
-        toks: impl Iterator<Item = &'a str>,
-    ) -> Result<Vec<(&'a str, &'a str)>, RecordError> {
-        toks.map(|tok| {
-            tok.split_once('=')
-                .ok_or_else(|| self.error(None, format!("expected key=value, got {tok:?}")))
-        })
-        .collect()
-    }
-
-    /// The 1-based line number.
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// The leading tag (for a header, the `name v1` it was checked
-    /// against).
+    /// The leading tag (for a header, its `name v1`).
     pub fn tag(&self) -> &'a str {
         self.tag
     }
 
-    /// The `key=value` pairs, in line order.
+    /// The `key=value` pairs, in line order (for sequence records).
     pub fn pairs(&self) -> &[(&'a str, &'a str)] {
         &self.pairs
     }
 
-    /// Enforces the key policy: every key is one of `known`, and none
-    /// appears twice. Which keys are required is up to the getters.
-    ///
-    /// # Errors
-    ///
-    /// The first unknown or duplicate key.
+    /// The key policy: every key is one of `known` and none appears
+    /// twice. The getters decide which keys are required.
     pub fn keys(&self, known: &[&str]) -> Result<(), RecordError> {
         for (i, &(key, _)) in self.pairs.iter().enumerate() {
             if !known.contains(&key) {
@@ -350,116 +253,76 @@ impl<'a> Record<'a> {
         self.pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
     }
 
-    /// The raw value of a required field.
-    ///
-    /// # Errors
-    ///
-    /// When `key` is missing.
+    /// The value of a required field.
     pub fn raw(&self, key: &str) -> Result<&'a str, RecordError> {
         self.opt(key)
             .ok_or_else(|| self.error(Some(key), format!("missing in `{}`", self.tag)))
     }
 
-    /// A required decimal `u64` field.
-    ///
-    /// # Errors
-    ///
-    /// When `key` is missing or not decimal.
+    /// A required decimal field.
     pub fn dec(&self, key: &str) -> Result<u64, RecordError> {
         self.dec_of(key, self.raw(key)?)
     }
 
-    /// A required 16-digit hex `u64` field.
-    ///
-    /// # Errors
-    ///
-    /// When `key` is missing or not 16 hex digits.
+    /// A required 16-digit hex field.
     pub fn hex(&self, key: &str) -> Result<u64, RecordError> {
         self.hex_of(key, self.raw(key)?)
     }
 
     /// A required hex bytes field.
-    ///
-    /// # Errors
-    ///
-    /// When `key` is missing, of odd length or not hex.
     pub fn bytes(&self, key: &str) -> Result<Vec<u8>, RecordError> {
         self.bytes_of(key, self.raw(key)?)
     }
 
-    /// Parses `v`, the value of `key`, as a decimal `u64`.
-    ///
-    /// # Errors
-    ///
-    /// When `v` is not decimal.
+    /// Parses `v`, a value of `key`, as decimal.
     pub fn dec_of(&self, key: &str, v: &str) -> Result<u64, RecordError> {
         parse_dec(v).ok_or_else(|| self.error(Some(key), format!("expected decimal, got {v:?}")))
     }
 
-    /// Parses `v`, the value of `key`, as a 16-digit hex `u64`.
-    ///
-    /// # Errors
-    ///
-    /// When `v` is not 16 hex digits.
+    /// Parses `v`, a value of `key`, as 16 hex digits.
     pub fn hex_of(&self, key: &str, v: &str) -> Result<u64, RecordError> {
         parse_hex64(v)
             .ok_or_else(|| self.error(Some(key), format!("expected 16 hex digits, got {v:?}")))
     }
 
-    /// Parses `v`, the value of `key`, as hex bytes.
-    ///
-    /// # Errors
-    ///
-    /// When `v` is of odd length or not hex.
+    /// Parses `v`, a value of `key`, as hex bytes.
     pub fn bytes_of(&self, key: &str, v: &str) -> Result<Vec<u8>, RecordError> {
         parse_hex_bytes(v)
             .ok_or_else(|| self.error(Some(key), format!("expected hex bytes, got {v:?}")))
     }
 
-    /// The error for a record whose tag the format does not know.
+    /// The error for a tag the format does not know.
     pub fn unknown_tag(&self) -> RecordError {
         self.error(None, format!("unknown record tag {:?}", self.tag))
     }
 
-    /// An error located at this record (and `key`, when given):
-    /// [`RecordError::Header`] for a header, [`RecordError::Parse`]
-    /// otherwise.
+    /// An error at this record and, when given, `key`.
     pub fn error(&self, key: Option<&str>, message: impl Into<String>) -> RecordError {
         let message = message.into();
-        if self.header {
-            return RecordError::Header(match key {
-                Some(key) => format!("key `{key}`: {message}"),
-                None => message,
-            });
-        }
-        RecordError::Parse {
-            line: self.line,
-            key: key.map(str::to_string),
-            message,
+        match (self.line, key) {
+            (0, Some(key)) => RecordError::Header(format!("key `{key}`: {message}")),
+            (0, None) => RecordError::Header(message),
+            (line, key) => RecordError::Parse {
+                line,
+                key: key.map(str::to_string),
+                message,
+            },
         }
     }
 }
 
-/// The records of a file after its header, skipping blank and `#`
-/// comment lines.
+/// The records after a file's header, blank and `#` lines skipped.
 #[derive(Debug, Clone)]
 pub struct Records<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
 }
 
 impl<'a> Records<'a> {
-    /// Checks that `text` starts with the `header` line (`name v1`,
-    /// plus optional fields) and returns the parsed header and the
-    /// records after it.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordError::Header`] on an empty file or a bad header line.
+    /// Checks that `text` starts with the `header` line and returns the
+    /// parsed header plus the records after it.
     pub fn open(text: &'a str, header: &'a str) -> Result<(Record<'a>, Records<'a>), RecordError> {
         let mut lines = text.lines().enumerate();
-        let (_, first) = lines.next().ok_or_else(|| {
-            RecordError::Header(format!("expected `{header}`, got an empty file"))
-        })?;
+        let first = lines.next().map_or("", |(_, l)| l);
         Ok((Record::parse_header(first, header)?, Records { lines }))
     }
 }
@@ -468,14 +331,8 @@ impl<'a> Iterator for Records<'a> {
     type Item = Result<Record<'a>, RecordError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        for (idx, line) in self.lines.by_ref() {
-            match Record::parse(line, idx + 1) {
-                Ok(None) => continue,
-                Ok(Some(rec)) => return Some(Ok(rec)),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        None
+        self.lines
+            .find_map(|(i, line)| Record::parse(line, i + 1).transpose())
     }
 }
 
@@ -552,7 +409,11 @@ mod tests {
         let (h, mut rest) = Records::open("pdf-x v1 n=2\n\nr a=1\n", "pdf-x v1").unwrap();
         assert_eq!(h.dec("n").unwrap(), 2);
         let r = rest.next().unwrap().unwrap();
-        assert_eq!((r.tag(), r.line()), ("r", 3));
+        assert_eq!(r.tag(), "r");
+        assert!(matches!(
+            r.dec("b"),
+            Err(RecordError::Parse { line: 3, .. })
+        ));
         assert!(rest.next().is_none());
         for bad in ["", "pdf-x", "pdf-x v2\n", "pdf-xy v1\n", "pdf-x v1 n\n"] {
             assert!(
