@@ -197,34 +197,49 @@ impl CheckpointError {
     }
 }
 
-/// Appends a `(site, outcome)` set as `SITE+` / `SITE-` entries joined
-/// with commas; the empty set is the single character `-`.
-fn push_branches(out: &mut String, set: &[(u64, bool)]) {
-    if set.is_empty() {
+/// Appends `items` joined with commas, each written by `item`; the
+/// empty list is the single character `-`.
+fn push_list<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    if items.is_empty() {
         out.push('-');
-        return;
     }
-    for (i, &(site, outcome)) in set.iter().enumerate() {
+    for (i, x) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        record::push_hex64(out, site);
-        out.push(if outcome { '+' } else { '-' });
+        item(out, x);
     }
 }
 
-fn parse_branches(s: &str) -> Option<Vec<(u64, bool)>> {
-    if s == "-" || s.is_empty() {
-        return Some(Vec::new());
+/// Appends a `(site, outcome)` set as `SITE+` / `SITE-` entries.
+fn push_branches(out: &mut String, set: &[(u64, bool)]) {
+    push_list(out, set, |o, &(site, outcome)| {
+        record::push_hex64(o, site);
+        o.push(if outcome { '+' } else { '-' });
+    });
+}
+
+fn parse_branch(tok: &str) -> Option<(u64, bool)> {
+    match tok.strip_suffix('+') {
+        Some(hex) => Some((record::parse_hex64(hex)?, true)),
+        None => Some((record::parse_hex64(tok.strip_suffix('-')?)?, false)),
     }
-    let mut set = Vec::with_capacity(s.len() / 18 + 1);
-    for tok in s.split(',') {
-        set.push(match tok.strip_suffix('+') {
-            Some(hex) => (record::parse_hex64(hex)?, true),
-            None => (record::parse_hex64(tok.strip_suffix('-')?)?, false),
-        });
+}
+
+/// Reads a [`push_list`] field of `rec`, parsing each entry with `item`.
+fn list<T>(
+    rec: &Record<'_>,
+    key: &str,
+    item: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, RecordError> {
+    match rec.raw(key)? {
+        "-" => Ok(Vec::new()),
+        v => v
+            .split(',')
+            .map(item)
+            .collect::<Option<_>>()
+            .ok_or_else(|| rec.error(Some(key), format!("bad list {v:?}"))),
     }
-    Some(set)
 }
 
 /// Appends an optional count, `-` for `None`.
@@ -240,11 +255,6 @@ fn opt_dec(rec: &Record<'_>, key: &str) -> Result<Option<u64>, RecordError> {
         "-" => Ok(None),
         v => rec.dec_of(key, v).map(Some),
     }
-}
-
-fn branches(rec: &Record<'_>, key: &str) -> Result<Vec<(u64, bool)>, RecordError> {
-    let v = rec.raw(key)?;
-    parse_branches(v).ok_or_else(|| rec.error(Some(key), format!("bad branch set {v:?}")))
 }
 
 /// Rebuilds a [`BranchSet`] from serialized (site, outcome) pairs.
@@ -307,15 +317,9 @@ impl Checkpoint {
             record::write(&mut out, "tier")
                 .with("maxrej", |o| push_opt_dec(o, self.tier_max_rejection))
                 .with("fps", |o| {
-                    if self.tier_fingerprints.is_empty() {
-                        o.push('-');
-                    }
-                    for (i, &fp) in self.tier_fingerprints.iter().enumerate() {
-                        if i > 0 {
-                            o.push(',');
-                        }
-                        record::push_hex64(o, fp);
-                    }
+                    push_list(o, &self.tier_fingerprints, |o, &fp| {
+                        record::push_hex64(o, fp)
+                    })
                 })
                 .end();
         }
@@ -402,26 +406,20 @@ impl Checkpoint {
                 }
                 "vbr" => {
                     rec.keys(&["set"])?;
-                    ck.valid_branches = branches(&rec, "set")?;
+                    ck.valid_branches = list(&rec, "set", parse_branch)?;
                 }
                 "abr" => {
                     rec.keys(&["set"])?;
-                    ck.all_branches = branches(&rec, "set")?;
+                    ck.all_branches = list(&rec, "set", parse_branch)?;
                 }
                 "sbr" => {
                     rec.keys(&["set"])?;
-                    ck.steer_branches = branches(&rec, "set")?;
+                    ck.steer_branches = list(&rec, "set", parse_branch)?;
                 }
                 "tier" => {
                     rec.keys(&["maxrej", "fps"])?;
                     ck.tier_max_rejection = opt_dec(&rec, "maxrej")?;
-                    ck.tier_fingerprints = match rec.raw("fps")? {
-                        "-" => Vec::new(),
-                        v => v
-                            .split(',')
-                            .map(|fp| rec.hex_of("fps", fp))
-                            .collect::<Result<_, _>>()?,
-                    };
+                    ck.tier_fingerprints = list(&rec, "fps", record::parse_hex64)?;
                 }
                 "inv" => {
                     rec.keys(&["hex"])?;
@@ -444,7 +442,7 @@ impl Checkpoint {
                         num_parents: rec.dec("par")?,
                         path_hash: rec.hex("path")?,
                         avg_stack_bits: rec.hex("stack")?,
-                        parent_branches: branches(&rec, "pb")?,
+                        parent_branches: list(&rec, "pb", parse_branch)?,
                         input: rec.bytes("hex")?,
                     });
                 }
@@ -607,6 +605,11 @@ mod tests {
 
     #[test]
     fn branch_list_encoding_is_exact() {
+        let parse = |s: &str| {
+            let line = format!("t set={s}");
+            let rec = Record::parse(&line, 1).unwrap().unwrap();
+            list(&rec, "set", parse_branch).ok()
+        };
         let mut s = String::new();
         push_branches(&mut s, &[]);
         assert_eq!(s, "-");
@@ -614,11 +617,12 @@ mod tests {
         let mut s = String::new();
         push_branches(&mut s, &pairs);
         assert_eq!(s, "0000000000000010+,0000000000000020-");
-        assert_eq!(parse_branches(&s), Some(pairs));
-        assert_eq!(parse_branches("-"), Some(Vec::new()));
-        assert_eq!(parse_branches("zz+"), None);
-        assert_eq!(parse_branches("0000000000000010?"), None);
-        assert_eq!(parse_branches("000000000000001é"), None);
+        assert_eq!(parse(&s), Some(pairs));
+        assert_eq!(parse("-"), Some(Vec::new()));
+        assert_eq!(parse("zz+"), None);
+        assert_eq!(parse("0000000000000010?"), None);
+        assert_eq!(parse("000000000000001é"), None);
+        assert_eq!(parse("0000000000000010+,"), None);
     }
 
     #[test]
