@@ -373,6 +373,8 @@ mod tests {
         assert_eq!(parse_hex64("FFFFFFFFFFFFFFFF"), Some(u64::MAX));
         assert_eq!(parse_hex_bytes("0"), None);
         assert_eq!(parse_hex_bytes("zz"), None);
+        // non-ASCII input is an error, never a char-boundary panic
+        assert_eq!(parse_hex_bytes("0é0"), None);
         assert_eq!(parse_hex_bytes("0aFf"), Some(vec![0x0a, 0xff]));
     }
 
