@@ -14,7 +14,7 @@ use crate::checkpoint::{
     branch_pairs_of, branch_set_of, Checkpoint, CheckpointError, QueueItemSnapshot, QueueSnapshot,
 };
 use crate::config::{DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode, SinkMode};
-use crate::queue::{CandidateQueue, QueueEntry, QueueState};
+use crate::queue::{CandidateQueue, Family, QueueEntry, QueueState};
 
 /// Cap on the candidate queue; when exceeded, the worst half is dropped.
 const QUEUE_HIGH_WATER: usize = 8_192;
@@ -1122,25 +1122,23 @@ impl Fuzzer {
         if input.len() > self.cfg.max_input_len {
             return;
         }
+        // Every candidate of this run shares one family: the parent's
+        // branch set is cloned once, not once per sibling.
+        let family = || Family {
+            parent_branches: summary.branches_up_to_rejection.clone(),
+            avg_stack: summary.avg_stack_size,
+            num_parents: parents + 1,
+            path_hash: summary.path_hash,
+        };
         if self.cfg.extension_mode == ExtensionMode::AppendOnly {
             // ablation: never substitute, only grow
             let mut grown = input.to_vec();
             grown.push(self.next_byte());
             pdf_obs::record(|m| m.appends.inc());
-            queue.push(
-                QueueEntry {
-                    input: grown,
-                    parent_branches: summary.branches_up_to_rejection.clone(),
-                    replacement_len: 1,
-                    avg_stack: summary.avg_stack_size,
-                    num_parents: parents + 1,
-                    path_hash: summary.path_hash,
-                },
-                steer,
-            );
+            queue.push_family(family(), [(grown, 1)], steer);
             return;
         }
-        let mut pushed: u64 = 0;
+        let mut siblings = Vec::new();
         for cand in &summary.candidates {
             // Replace from the rejection point on: everything after the
             // first invalid character is garbage by definition.
@@ -1149,19 +1147,9 @@ impl Fuzzer {
             if new_input.len() > self.cfg.max_input_len {
                 continue;
             }
-            pushed += 1;
-            queue.push(
-                QueueEntry {
-                    input: new_input,
-                    parent_branches: summary.branches_up_to_rejection.clone(),
-                    replacement_len: cand.replacement_len,
-                    avg_stack: summary.avg_stack_size,
-                    num_parents: parents + 1,
-                    path_hash: summary.path_hash,
-                },
-                steer,
-            );
+            siblings.push((new_input, cand.replacement_len));
         }
+        let pushed = siblings.len() as u64;
         if pushed > 0 {
             pdf_obs::record(|m| m.substitutions.add(pushed));
         }
@@ -1206,22 +1194,15 @@ impl Fuzzer {
                     // substitution and cannot starve the paper's
                     // search. If the token parses further, its children
                     // earn their rank the normal way.
-                    queue.push(
-                        QueueEntry {
-                            input: new_input,
-                            parent_branches: summary.branches_up_to_rejection.clone(),
-                            replacement_len: 1,
-                            avg_stack: summary.avg_stack_size,
-                            num_parents: parents + 1,
-                            path_hash: summary.path_hash,
-                        },
-                        steer,
-                    );
+                    siblings.push((new_input, 1));
                 }
                 if dict_pushed > 0 {
                     pdf_obs::record(|m| m.tokens_dict_subs.add(dict_pushed));
                 }
             }
+        }
+        if !siblings.is_empty() {
+            queue.push_family(family(), siblings, steer);
         }
     }
 

@@ -22,24 +22,49 @@ use pdf_runtime::BranchSet;
 /// follows the prose (subtract), and
 /// [`HeuristicConfig::paper_literal_parent_sign`] restores the listing.
 pub fn score(entry: &QueueEntry, v_br: &BranchSet, path_seen: usize, cfg: &HeuristicConfig) -> f64 {
+    score_parts(
+        cfg,
+        entry.parent_branches.difference_size(v_br),
+        (path_seen as f64).ln_1p(),
+        entry.avg_stack,
+        entry.num_parents,
+        entry.input.len(),
+        entry.replacement_len,
+    )
+}
+
+/// [`score`] from precomputed terms: `new_branches` is
+/// `size(branches \ vBr)` and `path_penalty` is `ln_1p(pathSeenCount)`.
+/// The candidate queue computes both once per family of siblings; the
+/// arithmetic below is the single definition of the score, so cached
+/// and freshly computed scores agree bit for bit.
+pub(crate) fn score_parts(
+    cfg: &HeuristicConfig,
+    new_branches: usize,
+    path_penalty: f64,
+    avg_stack: f64,
+    num_parents: usize,
+    input_len: usize,
+    replacement_len: usize,
+) -> f64 {
     let mut cov = 0.0;
     if cfg.use_new_branches {
-        cov += entry.parent_branches.difference_size(v_br) as f64;
+        cov += new_branches as f64;
     }
     if cfg.use_input_length {
-        cov -= entry.input.len() as f64;
+        cov -= input_len as f64;
     }
     if cfg.use_replacement_len {
-        cov += 2.0 * entry.replacement_len as f64;
+        cov += 2.0 * replacement_len as f64;
     }
     if cfg.use_stack_size {
-        cov -= entry.avg_stack;
+        cov -= avg_stack;
     }
     if cfg.use_parent_penalty {
         if cfg.paper_literal_parent_sign {
-            cov += entry.num_parents as f64;
+            cov += num_parents as f64;
         } else {
-            cov -= entry.num_parents as f64;
+            cov -= num_parents as f64;
         }
     }
     if cfg.use_path_dedup {
@@ -47,7 +72,7 @@ pub fn score(entry: &QueueEntry, v_br: &BranchSet, path_seen: usize, cfg: &Heuri
         // (e.g. "identifier;") repeats thousands of times, and a linear
         // penalty would bury every candidate derived from it — including
         // the keyword substitutions the whole technique is about.
-        cov -= (path_seen as f64).ln_1p();
+        cov -= path_penalty;
     }
     cov
 }

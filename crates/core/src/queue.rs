@@ -6,7 +6,7 @@ use std::collections::{BinaryHeap, HashMap};
 use pdf_runtime::BranchSet;
 
 use crate::config::HeuristicConfig;
-use crate::heuristic::score;
+use crate::heuristic::score_parts;
 
 /// A not-yet-executed candidate input plus everything needed to
 /// (re-)compute its heuristic value without re-running it (Section 3.2:
@@ -28,16 +28,83 @@ pub struct QueueEntry {
     pub path_hash: u64,
 }
 
+/// What every candidate derived from one failing run shares: the
+/// parent's coverage up to its rejection point, its stack depth, its
+/// lineage and its path. A run yields tens of sibling candidates, so the
+/// queue stores these fields, and computes the new-branch term they
+/// feed, once per family instead of once per candidate.
+#[derive(Debug, Clone)]
+pub(crate) struct Family {
+    pub parent_branches: BranchSet,
+    pub avg_stack: f64,
+    pub num_parents: usize,
+    pub path_hash: u64,
+}
+
+impl Family {
+    fn entry(
+        &self,
+        parent_branches: BranchSet,
+        input: Vec<u8>,
+        replacement_len: usize,
+    ) -> QueueEntry {
+        QueueEntry {
+            input,
+            parent_branches,
+            replacement_len,
+            avg_stack: self.avg_stack,
+            num_parents: self.num_parents,
+            path_hash: self.path_hash,
+        }
+    }
+
+    /// Bitwise equality: families regrouped on restore must snapshot to
+    /// the same records they were restored from.
+    fn same_as(&self, other: &Family) -> bool {
+        self.parent_branches == other.parent_branches
+            && self.avg_stack.to_bits() == other.avg_stack.to_bits()
+            && self.num_parents == other.num_parents
+            && self.path_hash == other.path_hash
+    }
+}
+
+#[derive(Debug)]
+struct FamilySlot {
+    family: Family,
+    /// `(vBr.len(), size(parent_branches \ vBr))` as last counted.
+    new_branches: Option<(usize, usize)>,
+    /// Queued candidates of this family; the slot is recycled at zero.
+    live: usize,
+}
+
+impl FamilySlot {
+    /// The new-branch term, recounted only when `vBr` grew since the last
+    /// count (see the monotonicity precondition on [`CandidateQueue`]).
+    fn new_branches(&mut self, v_br: &BranchSet) -> usize {
+        match self.new_branches {
+            Some((len, n)) if len == v_br.len() => n,
+            _ => {
+                let n = self.family.parent_branches.difference_size(v_br);
+                self.new_branches = Some((v_br.len(), n));
+                n
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct HeapItem {
     score: f64,
     seq: u64,
-    entry: QueueEntry,
+    input: Vec<u8>,
+    replacement_len: usize,
+    /// Index of the item's [`FamilySlot`].
+    family: usize,
 }
 
 impl PartialEq for HeapItem {
     fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.entry.input == other.entry.input && self.seq == other.seq
+        self.score == other.score && self.input == other.input && self.seq == other.seq
     }
 }
 impl Eq for HeapItem {}
@@ -55,7 +122,7 @@ impl Ord for HeapItem {
         // identical inputs fall back to FIFO on the insertion index.
         self.score
             .total_cmp(&other.score)
-            .then_with(|| other.entry.input.cmp(&self.entry.input))
+            .then_with(|| other.input.cmp(&self.input))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -93,6 +160,16 @@ pub(crate) struct QueueState {
 /// path-dedup drift — the same "recalculate the heuristic instead of
 /// re-running the input" optimization Section 3.2 describes.
 ///
+/// Candidates are grouped into families, one per failing run, that
+/// share the parent's branch set; a refresh counts each family's new
+/// branches and path penalty once and then rescores its members.
+///
+/// **Precondition:** the `vBr` passed to successive calls only grows
+/// (the driver's steering set is only ever extended by union), so two
+/// sets of equal size are equal. Families cache their new-branch count
+/// keyed by `vBr.len()`, and [`pop`](Self::pop) detects growth the same
+/// way.
+///
 /// # Example
 ///
 /// ```
@@ -115,6 +192,10 @@ pub(crate) struct QueueState {
 #[derive(Debug)]
 pub struct CandidateQueue {
     heap: BinaryHeap<HeapItem>,
+    /// Family slots indexed by [`HeapItem::family`]; `free` lists the
+    /// slots with no live member.
+    families: Vec<FamilySlot>,
+    free: Vec<usize>,
     /// How often each execution path has been seen (queued + executed).
     path_counts: HashMap<u64, usize>,
     cfg: HeuristicConfig,
@@ -123,11 +204,22 @@ pub struct CandidateQueue {
     pops_since_rebuild: usize,
 }
 
+fn path_penalty(path_counts: &HashMap<u64, usize>, path_hash: u64) -> f64 {
+    let seen = path_counts
+        .get(&path_hash)
+        .copied()
+        .unwrap_or(0)
+        .saturating_sub(1);
+    (seen as f64).ln_1p()
+}
+
 impl CandidateQueue {
     /// Creates an empty queue with the given heuristic configuration.
     pub fn new(cfg: HeuristicConfig) -> Self {
         CandidateQueue {
             heap: BinaryHeap::new(),
+            families: Vec::new(),
+            free: Vec::new(),
             path_counts: HashMap::new(),
             cfg,
             seq: 0,
@@ -146,26 +238,106 @@ impl CandidateQueue {
         self.heap.is_empty()
     }
 
-    fn path_seen(&self, path_hash: u64) -> usize {
-        self.path_counts
-            .get(&path_hash)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(1)
+    /// Inserts a candidate, scored against the current `vBr`
+    /// (Algorithm 1, line 23). A family of one.
+    pub fn push(&mut self, entry: QueueEntry, v_br: &BranchSet) {
+        let QueueEntry {
+            input,
+            parent_branches,
+            replacement_len,
+            avg_stack,
+            num_parents,
+            path_hash,
+        } = entry;
+        let family = Family {
+            parent_branches,
+            avg_stack,
+            num_parents,
+            path_hash,
+        };
+        self.push_family(family, [(input, replacement_len)], v_br);
     }
 
-    /// Inserts a candidate, scored against the current `vBr`
-    /// (Algorithm 1, line 23).
-    pub fn push(&mut self, entry: QueueEntry, v_br: &BranchSet) {
-        *self.path_counts.entry(entry.path_hash).or_insert(0) += 1;
-        let s = score(&entry, v_br, self.path_seen(entry.path_hash), &self.cfg);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(HeapItem {
-            score: s,
-            seq,
-            entry,
-        });
+    /// Inserts the `(input, replacement_len)` siblings of one failing run
+    /// in order, each scored against the current `vBr` exactly as a
+    /// [`push`](Self::push) of it would be.
+    pub(crate) fn push_family(
+        &mut self,
+        family: Family,
+        siblings: impl IntoIterator<Item = (Vec<u8>, usize)>,
+        v_br: &BranchSet,
+    ) {
+        let mut siblings = siblings.into_iter().peekable();
+        if siblings.peek().is_none() {
+            return;
+        }
+        let id = self.open(family);
+        let slot = &mut self.families[id];
+        let new_branches = slot.new_branches(v_br);
+        let seen = self.path_counts.entry(slot.family.path_hash).or_insert(0);
+        for (input, replacement_len) in siblings {
+            *seen += 1;
+            let score = score_parts(
+                &self.cfg,
+                new_branches,
+                ((*seen - 1) as f64).ln_1p(),
+                slot.family.avg_stack,
+                slot.family.num_parents,
+                input.len(),
+                replacement_len,
+            );
+            slot.live += 1;
+            self.heap.push(HeapItem {
+                score,
+                seq: self.seq,
+                input,
+                replacement_len,
+                family: id,
+            });
+            self.seq += 1;
+        }
+    }
+
+    fn open(&mut self, family: Family) -> usize {
+        let slot = FamilySlot {
+            family,
+            new_branches: None,
+            live: 0,
+        };
+        match self.free.pop() {
+            Some(id) => {
+                self.families[id] = slot;
+                id
+            }
+            None => {
+                self.families.push(slot);
+                self.families.len() - 1
+            }
+        }
+    }
+
+    /// Drops one member from family `id`; true when it was the last, and
+    /// the slot is now free for reuse.
+    fn release(&mut self, id: usize) -> bool {
+        let slot = &mut self.families[id];
+        slot.live -= 1;
+        if slot.live == 0 {
+            self.free.push(id);
+        }
+        slot.live == 0
+    }
+
+    /// Turns a removed item back into an entry, handing over the
+    /// family's branch set when it was the last member.
+    fn detach(&mut self, item: HeapItem) -> QueueEntry {
+        let last = self.release(item.family);
+        let family = &mut self.families[item.family].family;
+        let parent_branches = if last {
+            std::mem::take(&mut family.parent_branches)
+        } else {
+            family.parent_branches.clone()
+        };
+        family.entry(parent_branches, item.input, item.replacement_len)
     }
 
     /// Removes and returns the highest-scoring candidate, refreshing
@@ -175,47 +347,34 @@ impl CandidateQueue {
             self.rebuild(v_br);
         }
         self.pops_since_rebuild += 1;
-        self.heap.pop().map(|item| item.entry)
+        let item = self.heap.pop()?;
+        Some(self.detach(item))
     }
 
     /// Removes the newest candidate regardless of score (naive
     /// depth-first search, for the Section 3 ablation).
     pub fn pop_newest(&mut self) -> Option<QueueEntry> {
-        let newest = self.heap.iter().map(|i| i.seq).max()?;
-        let items: Vec<HeapItem> = std::mem::take(&mut self.heap).into_vec();
-        let mut out = None;
-        self.heap = items
-            .into_iter()
-            .filter_map(|item| {
-                if item.seq == newest && out.is_none() {
-                    out = Some(item.entry.clone());
-                    None
-                } else {
-                    Some(item)
-                }
-            })
-            .collect();
-        out
+        self.remove(|items| {
+            let newest = items.iter().enumerate().max_by_key(|(_, i)| i.seq);
+            newest.map(|(at, _)| at)
+        })
     }
 
     /// Removes the oldest candidate regardless of score (naive
     /// breadth-first search, for the Section 3 ablation).
     pub fn pop_oldest(&mut self) -> Option<QueueEntry> {
-        let oldest = self.heap.iter().map(|i| i.seq).min()?;
-        let items: Vec<HeapItem> = std::mem::take(&mut self.heap).into_vec();
-        let mut out = None;
-        self.heap = items
-            .into_iter()
-            .filter_map(|item| {
-                if item.seq == oldest && out.is_none() {
-                    out = Some(item.entry.clone());
-                    None
-                } else {
-                    Some(item)
-                }
-            })
-            .collect();
-        out
+        self.remove(|items| {
+            let oldest = items.iter().enumerate().min_by_key(|(_, i)| i.seq);
+            oldest.map(|(at, _)| at)
+        })
+    }
+
+    /// Removes the item at the index `find` picks from the heap's items.
+    fn remove(&mut self, find: impl FnOnce(&[HeapItem]) -> Option<usize>) -> Option<QueueEntry> {
+        let mut items = std::mem::take(&mut self.heap).into_vec();
+        let picked = find(&items).map(|at| items.swap_remove(at));
+        self.heap = BinaryHeap::from(items);
+        picked.map(|item| self.detach(item))
     }
 
     /// Records that a path was executed once more (lowers the rank of
@@ -227,21 +386,41 @@ impl CandidateQueue {
     /// Recomputes every cached score against the current `vBr` and path
     /// counts.
     pub fn rebuild(&mut self, v_br: &BranchSet) {
+        let items = self.rescored(v_br);
+        self.heap = BinaryHeap::from(items);
+    }
+
+    /// Takes the heap's items with fresh scores: the new-branch and
+    /// path-penalty terms once per live family, then each member.
+    fn rescored(&mut self, v_br: &BranchSet) -> Vec<HeapItem> {
         self.last_vbr_len = v_br.len();
         self.pops_since_rebuild = 0;
-        let items: Vec<HeapItem> = std::mem::take(&mut self.heap).into_vec();
-        self.heap = items
-            .into_iter()
-            .map(|mut item| {
-                item.score = score(
-                    &item.entry,
-                    v_br,
-                    self.path_seen(item.entry.path_hash),
-                    &self.cfg,
-                );
-                item
+        let terms: Vec<(usize, f64)> = self
+            .families
+            .iter_mut()
+            .map(|slot| match slot.live {
+                0 => (0, 0.0),
+                _ => (
+                    slot.new_branches(v_br),
+                    path_penalty(&self.path_counts, slot.family.path_hash),
+                ),
             })
             .collect();
+        let mut items = std::mem::take(&mut self.heap).into_vec();
+        for item in &mut items {
+            let (new_branches, penalty) = terms[item.family];
+            let family = &self.families[item.family].family;
+            item.score = score_parts(
+                &self.cfg,
+                new_branches,
+                penalty,
+                family.avg_stack,
+                family.num_parents,
+                item.input.len(),
+                item.replacement_len,
+            );
+        }
+        items
     }
 
     /// Drops the worst-scoring entries, keeping the best `keep`. Called
@@ -250,26 +429,32 @@ impl CandidateQueue {
         if self.heap.len() <= keep {
             return;
         }
-        self.rebuild(v_br);
-        let mut kept = BinaryHeap::with_capacity(keep);
-        for _ in 0..keep {
-            match self.heap.pop() {
-                Some(item) => kept.push(item),
-                None => break,
-            }
+        let mut items = self.rescored(v_br);
+        items.select_nth_unstable_by(keep, |a, b| b.cmp(a));
+        for item in items.drain(keep..) {
+            self.release(item.family);
         }
-        self.heap = kept;
+        self.heap = BinaryHeap::from(items);
     }
 
     /// Captures the queue's complete state for a checkpoint. The heap is
-    /// flattened in insertion order; because [`HeapItem`]'s ordering is a
+    /// flattened in insertion order, one record per candidate (families
+    /// are an in-memory layout); because [`HeapItem`]'s ordering is a
     /// pure function of the queued set, re-pushing the items in any order
     /// reproduces the exact pop sequence.
     pub(crate) fn snapshot_state(&self) -> QueueState {
         let mut items: Vec<(f64, u64, QueueEntry)> = self
             .heap
             .iter()
-            .map(|i| (i.score, i.seq, i.entry.clone()))
+            .map(|i| {
+                let family = &self.families[i.family].family;
+                let entry = family.entry(
+                    family.parent_branches.clone(),
+                    i.input.clone(),
+                    i.replacement_len,
+                );
+                (i.score, i.seq, entry)
+            })
             .collect();
         items.sort_by_key(|&(_, seq, _)| seq);
         let mut path_counts: Vec<(u64, usize)> =
@@ -286,19 +471,237 @@ impl CandidateQueue {
 
     /// Rebuilds a queue from a snapshot, preserving cached scores and
     /// rebuild counters verbatim (no rescoring — see
-    /// [`snapshot_state`](Self::snapshot_state)).
+    /// [`snapshot_state`](Self::snapshot_state)). Adjacent items with
+    /// equal family fields share one family again.
     pub(crate) fn restore_state(cfg: HeuristicConfig, state: QueueState) -> Self {
-        let mut heap = BinaryHeap::with_capacity(state.items.len());
+        let mut q = CandidateQueue::new(cfg);
+        let mut items = Vec::with_capacity(state.items.len());
         for (score, seq, entry) in state.items {
-            heap.push(HeapItem { score, seq, entry });
+            let QueueEntry {
+                input,
+                parent_branches,
+                replacement_len,
+                avg_stack,
+                num_parents,
+                path_hash,
+            } = entry;
+            let family = Family {
+                parent_branches,
+                avg_stack,
+                num_parents,
+                path_hash,
+            };
+            let id = match q.families.last() {
+                Some(last) if last.family.same_as(&family) => q.families.len() - 1,
+                _ => q.open(family),
+            };
+            q.families[id].live += 1;
+            items.push(HeapItem {
+                score,
+                seq,
+                input,
+                replacement_len,
+                family: id,
+            });
         }
-        CandidateQueue {
-            heap,
-            path_counts: state.path_counts.into_iter().collect(),
-            cfg,
-            seq: state.seq,
-            last_vbr_len: state.last_vbr_len,
-            pops_since_rebuild: state.pops_since_rebuild,
+        q.heap = BinaryHeap::from(items);
+        q.path_counts = state.path_counts.into_iter().collect();
+        q.seq = state.seq;
+        q.last_vbr_len = state.last_vbr_len;
+        q.pops_since_rebuild = state.pops_since_rebuild;
+        q
+    }
+}
+
+/// The queue as it was before families: every item owns its entry and
+/// every rescoring calls [`score`](crate::score) per item. Tests drive it
+/// side by side with [`CandidateQueue`] as the pop-order oracle.
+#[cfg(test)]
+mod reference {
+    use super::{QueueEntry, QueueState, REBUILD_INTERVAL};
+    use crate::config::HeuristicConfig;
+    use crate::heuristic::score;
+    use pdf_runtime::BranchSet;
+    use std::cmp::Ordering;
+    use std::collections::{BinaryHeap, HashMap};
+
+    #[derive(Debug)]
+    struct Item {
+        score: f64,
+        seq: u64,
+        entry: QueueEntry,
+    }
+
+    impl PartialEq for Item {
+        fn eq(&self, other: &Self) -> bool {
+            self.score == other.score
+                && self.entry.input == other.entry.input
+                && self.seq == other.seq
+        }
+    }
+    impl Eq for Item {}
+    impl PartialOrd for Item {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Item {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.score
+                .total_cmp(&other.score)
+                .then_with(|| other.entry.input.cmp(&self.entry.input))
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    #[derive(Debug)]
+    pub(super) struct ReferenceQueue {
+        heap: BinaryHeap<Item>,
+        path_counts: HashMap<u64, usize>,
+        cfg: HeuristicConfig,
+        seq: u64,
+        last_vbr_len: usize,
+        pops_since_rebuild: usize,
+    }
+
+    impl ReferenceQueue {
+        pub(super) fn new(cfg: HeuristicConfig) -> Self {
+            ReferenceQueue {
+                heap: BinaryHeap::new(),
+                path_counts: HashMap::new(),
+                cfg,
+                seq: 0,
+                last_vbr_len: 0,
+                pops_since_rebuild: 0,
+            }
+        }
+
+        fn path_seen(&self, path_hash: u64) -> usize {
+            self.path_counts
+                .get(&path_hash)
+                .copied()
+                .unwrap_or(0)
+                .saturating_sub(1)
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        pub(super) fn push(&mut self, entry: QueueEntry, v_br: &BranchSet) {
+            *self.path_counts.entry(entry.path_hash).or_insert(0) += 1;
+            let s = score(&entry, v_br, self.path_seen(entry.path_hash), &self.cfg);
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Item {
+                score: s,
+                seq,
+                entry,
+            });
+        }
+
+        pub(super) fn pop(&mut self, v_br: &BranchSet) -> Option<QueueEntry> {
+            if v_br.len() != self.last_vbr_len || self.pops_since_rebuild >= REBUILD_INTERVAL {
+                self.rebuild(v_br);
+            }
+            self.pops_since_rebuild += 1;
+            self.heap.pop().map(|item| item.entry)
+        }
+
+        fn pop_seq(&mut self, seq: Option<u64>) -> Option<QueueEntry> {
+            let seq = seq?;
+            let items = std::mem::take(&mut self.heap).into_vec();
+            let mut out = None;
+            self.heap = items
+                .into_iter()
+                .filter_map(|item| {
+                    if item.seq == seq && out.is_none() {
+                        out = Some(item.entry);
+                        None
+                    } else {
+                        Some(item)
+                    }
+                })
+                .collect();
+            out
+        }
+
+        pub(super) fn pop_newest(&mut self) -> Option<QueueEntry> {
+            let newest = self.heap.iter().map(|i| i.seq).max();
+            self.pop_seq(newest)
+        }
+
+        pub(super) fn pop_oldest(&mut self) -> Option<QueueEntry> {
+            let oldest = self.heap.iter().map(|i| i.seq).min();
+            self.pop_seq(oldest)
+        }
+
+        pub(super) fn note_path(&mut self, path_hash: u64) {
+            *self.path_counts.entry(path_hash).or_insert(0) += 1;
+        }
+
+        pub(super) fn rebuild(&mut self, v_br: &BranchSet) {
+            self.last_vbr_len = v_br.len();
+            self.pops_since_rebuild = 0;
+            let items = std::mem::take(&mut self.heap).into_vec();
+            self.heap = items
+                .into_iter()
+                .map(|mut item| {
+                    let seen = self.path_seen(item.entry.path_hash);
+                    item.score = score(&item.entry, v_br, seen, &self.cfg);
+                    item
+                })
+                .collect();
+        }
+
+        pub(super) fn shrink(&mut self, keep: usize, v_br: &BranchSet) {
+            if self.heap.len() <= keep {
+                return;
+            }
+            self.rebuild(v_br);
+            let mut kept = BinaryHeap::with_capacity(keep);
+            for _ in 0..keep {
+                match self.heap.pop() {
+                    Some(item) => kept.push(item),
+                    None => break,
+                }
+            }
+            self.heap = kept;
+        }
+
+        pub(super) fn snapshot_state(&self) -> QueueState {
+            let mut items: Vec<(f64, u64, QueueEntry)> = self
+                .heap
+                .iter()
+                .map(|i| (i.score, i.seq, i.entry.clone()))
+                .collect();
+            items.sort_by_key(|&(_, seq, _)| seq);
+            let mut path_counts: Vec<(u64, usize)> =
+                self.path_counts.iter().map(|(&k, &v)| (k, v)).collect();
+            path_counts.sort_unstable();
+            QueueState {
+                items,
+                path_counts,
+                seq: self.seq,
+                last_vbr_len: self.last_vbr_len,
+                pops_since_rebuild: self.pops_since_rebuild,
+            }
+        }
+
+        pub(super) fn restore_state(cfg: HeuristicConfig, state: QueueState) -> Self {
+            let heap = state
+                .items
+                .into_iter()
+                .map(|(score, seq, entry)| Item { score, seq, entry })
+                .collect();
+            ReferenceQueue {
+                heap,
+                path_counts: state.path_counts.into_iter().collect(),
+                cfg,
+                seq: state.seq,
+                last_vbr_len: state.last_vbr_len,
+                pops_since_rebuild: state.pops_since_rebuild,
+            }
         }
     }
 }
@@ -307,6 +710,7 @@ impl CandidateQueue {
 mod tests {
     use super::*;
     use pdf_runtime::{BranchId, SiteId};
+    use proptest::prelude::*;
 
     fn entry(input: &[u8], repl: usize) -> QueueEntry {
         QueueEntry {
@@ -520,18 +924,189 @@ mod tests {
 
     #[test]
     fn periodic_rebuild_absorbs_path_drift() {
+        // `aa` outranks `bb` until its path turns hot; only a periodic
+        // refresh (no `vBr` change, no explicit rebuild) can notice.
         let v_br = BranchSet::new();
-        let mut q = CandidateQueue::new(HeuristicConfig::default());
-        let mut a = entry(b"aa", 1);
-        a.path_hash = 7;
-        q.push(a, &v_br);
-        for _ in 0..50 {
-            q.note_path(7);
+        let drained_pair = |fillers: usize| -> Vec<u8> {
+            let mut q = CandidateQueue::new(HeuristicConfig::default());
+            let mut a = entry(b"aa", 2);
+            a.path_hash = 7;
+            let mut b = entry(b"bb", 1);
+            b.path_hash = 9;
+            q.push(a, &v_br);
+            q.push(b, &v_br);
+            for i in 0..fillers {
+                // replacement length 10 keeps every filler on top
+                let mut f = entry(format!("f{i:03}").as_bytes(), 10);
+                f.path_hash = 10_000 + i as u64;
+                q.push(f, &v_br);
+            }
+            for _ in 0..50 {
+                q.note_path(7);
+            }
+            for _ in 0..fillers {
+                assert_eq!(q.pop(&v_br).unwrap().input[0], b'f');
+            }
+            q.pop(&v_br).unwrap().input
+        };
+        // one pop short of the interval, the stale scores still rule
+        assert_eq!(drained_pair(REBUILD_INTERVAL - 1), b"aa".to_vec());
+        assert_eq!(drained_pair(REBUILD_INTERVAL), b"bb".to_vec());
+    }
+
+    fn comparable(e: &QueueEntry) -> (Vec<u8>, BranchSet, usize, u64, usize, u64) {
+        (
+            e.input.clone(),
+            e.parent_branches.clone(),
+            e.replacement_len,
+            e.avg_stack.to_bits(),
+            e.num_parents,
+            e.path_hash,
+        )
+    }
+
+    type ComparableState = (
+        Vec<(u64, u64, (Vec<u8>, BranchSet, usize, u64, usize, u64))>,
+        Vec<(u64, usize)>,
+        u64,
+        usize,
+        usize,
+    );
+
+    fn comparable_state(s: &QueueState) -> ComparableState {
+        (
+            s.items
+                .iter()
+                .map(|(score, seq, e)| (score.to_bits(), *seq, comparable(e)))
+                .collect(),
+            s.path_counts.clone(),
+            s.seq,
+            s.last_vbr_len,
+            s.pops_since_rebuild,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The family queue pops, snapshots and counts exactly like the
+        /// per-item reference queue under random operation sequences.
+        #[test]
+        fn families_match_reference_queue(
+            cfg_pick in 0u8..3,
+            ops in proptest::collection::vec((0u8..16, any::<u64>()), 1..400),
+        ) {
+            use super::reference::ReferenceQueue;
+            use pdf_runtime::{splitmix64, BranchId, SiteId};
+
+            let cfg = match cfg_pick {
+                0 => HeuristicConfig::default(),
+                1 => HeuristicConfig {
+                    paper_literal_parent_sign: true,
+                    ..HeuristicConfig::default()
+                },
+                _ => HeuristicConfig::disabled(),
+            };
+            let mut q = CandidateQueue::new(cfg);
+            let mut oracle = ReferenceQueue::new(cfg);
+            let mut v_br = BranchSet::new();
+            let mut last_family: Option<Family> = None;
+            for (kind, seed) in ops {
+                let mut state = seed;
+                let mut draw = |n: u64| {
+                    state = splitmix64(state);
+                    state % n
+                };
+                let branches = |draw: &mut dyn FnMut(u64) -> u64, n: u64| -> BranchSet {
+                    (0..n)
+                        .map(|_| BranchId::new(SiteId::from_raw(draw(16)), draw(2) == 0))
+                        .collect()
+                };
+                match kind {
+                    0..=3 => {
+                        let size = draw(12);
+                        let mut family = Family {
+                            parent_branches: branches(&mut draw, size),
+                            avg_stack: [0.0, -0.0, 0.75, 1.5][draw(4) as usize],
+                            num_parents: draw(4) as usize,
+                            path_hash: draw(5),
+                        };
+                        // a run like the previous one, so restore has
+                        // equal and near-equal neighbours to regroup
+                        if let Some(last) = last_family.as_ref().filter(|_| draw(2) == 0) {
+                            let tweak = draw(4);
+                            family = Family {
+                                avg_stack: if tweak == 0 { family.avg_stack } else { last.avg_stack },
+                                num_parents: if tweak == 1 { family.num_parents } else { last.num_parents },
+                                path_hash: if tweak == 2 { family.path_hash } else { last.path_hash },
+                                parent_branches: last.parent_branches.clone(),
+                            };
+                        }
+                        last_family = Some(family.clone());
+                        let siblings: Vec<(Vec<u8>, usize)> = (0..1 + draw(20))
+                            .map(|_| {
+                                let input = (0..1 + draw(4)).map(|_| b"abc"[draw(3) as usize]).collect();
+                                (input, 1 + draw(3) as usize)
+                            })
+                            .collect();
+                        for (input, replacement_len) in &siblings {
+                            let e = family.entry(family.parent_branches.clone(), input.clone(), *replacement_len);
+                            oracle.push(e, &v_br);
+                        }
+                        q.push_family(family, siblings, &v_br);
+                    }
+                    4..=8 => {
+                        let burst = if draw(4) == 0 { draw(300) } else { 1 };
+                        for _ in 0..burst {
+                            let got = q.pop(&v_br);
+                            let want = oracle.pop(&v_br);
+                            prop_assert_eq!(got.as_ref().map(comparable), want.as_ref().map(comparable));
+                        }
+                    }
+                    9 => {
+                        let (got, want) = if draw(2) == 0 {
+                            (q.pop_newest(), oracle.pop_newest())
+                        } else {
+                            (q.pop_oldest(), oracle.pop_oldest())
+                        };
+                        prop_assert_eq!(got.as_ref().map(comparable), want.as_ref().map(comparable));
+                    }
+                    10 => {
+                        let path = draw(5);
+                        q.note_path(path);
+                        oracle.note_path(path);
+                    }
+                    11 => {
+                        let size = 1 + draw(3);
+                        v_br.union_with(&branches(&mut draw, size));
+                    }
+                    12 => {
+                        let keep = draw(q.len() as u64 + 1) as usize;
+                        q.shrink(keep, &v_br);
+                        oracle.shrink(keep, &v_br);
+                    }
+                    13 => {
+                        q.rebuild(&v_br);
+                        oracle.rebuild(&v_br);
+                    }
+                    _ => {
+                        let snap = q.snapshot_state();
+                        let want = oracle.snapshot_state();
+                        prop_assert_eq!(comparable_state(&snap), comparable_state(&want));
+                        q = CandidateQueue::restore_state(cfg, snap);
+                        oracle = ReferenceQueue::restore_state(cfg, want);
+                    }
+                }
+                prop_assert_eq!(q.len(), oracle.len());
+            }
+            prop_assert_eq!(
+                comparable_state(&q.snapshot_state()),
+                comparable_state(&oracle.snapshot_state())
+            );
+            while let Some(want) = oracle.pop(&v_br) {
+                prop_assert_eq!(q.pop(&v_br).as_ref().map(comparable), Some(comparable(&want)));
+            }
+            prop_assert!(q.is_empty());
         }
-        // after enough pops the rebuild interval forces a refresh; here
-        // we just verify rebuild() itself lowers the cached score
-        q.rebuild(&v_br);
-        let item = q.pop(&v_br).unwrap();
-        assert_eq!(item.input, b"aa".to_vec());
     }
 }
