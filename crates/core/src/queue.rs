@@ -71,23 +71,23 @@ impl Family {
 #[derive(Debug)]
 struct FamilySlot {
     family: Family,
-    /// `(vBr.len(), size(parent_branches \ vBr))` as last counted.
-    new_branches: Option<(usize, usize)>,
+    /// `vBr.len()` when `new_branches` was last counted.
+    counted_at: Option<usize>,
+    /// `size(parent_branches \ vBr)`.
+    new_branches: usize,
+    /// `ln_1p(path_seen)` as of the last rescoring.
+    path_penalty: f64,
     /// Queued candidates of this family; the slot is recycled at zero.
     live: usize,
 }
 
 impl FamilySlot {
-    /// The new-branch term, recounted only when `vBr` grew since the last
+    /// Recounts the new-branch term only when `vBr` grew since the last
     /// count (see the monotonicity precondition on [`CandidateQueue`]).
-    fn new_branches(&mut self, v_br: &BranchSet) -> usize {
-        match self.new_branches {
-            Some((len, n)) if len == v_br.len() => n,
-            _ => {
-                let n = self.family.parent_branches.difference_size(v_br);
-                self.new_branches = Some((v_br.len(), n));
-                n
-            }
+    fn count_new_branches(&mut self, v_br: &BranchSet) {
+        if self.counted_at != Some(v_br.len()) {
+            self.new_branches = self.family.parent_branches.difference_size(v_br);
+            self.counted_at = Some(v_br.len());
         }
     }
 }
@@ -273,13 +273,13 @@ impl CandidateQueue {
         }
         let id = self.open(family);
         let slot = &mut self.families[id];
-        let new_branches = slot.new_branches(v_br);
+        slot.count_new_branches(v_br);
         let seen = self.path_counts.entry(slot.family.path_hash).or_insert(0);
         for (input, replacement_len) in siblings {
             *seen += 1;
             let score = score_parts(
                 &self.cfg,
-                new_branches,
+                slot.new_branches,
                 ((*seen - 1) as f64).ln_1p(),
                 slot.family.avg_stack,
                 slot.family.num_parents,
@@ -301,7 +301,9 @@ impl CandidateQueue {
     fn open(&mut self, family: Family) -> usize {
         let slot = FamilySlot {
             family,
-            new_branches: None,
+            counted_at: None,
+            new_branches: 0,
+            path_penalty: 0.0,
             live: 0,
         };
         match self.free.pop() {
@@ -395,27 +397,19 @@ impl CandidateQueue {
     fn rescored(&mut self, v_br: &BranchSet) -> Vec<HeapItem> {
         self.last_vbr_len = v_br.len();
         self.pops_since_rebuild = 0;
-        let terms: Vec<(usize, f64)> = self
-            .families
-            .iter_mut()
-            .map(|slot| match slot.live {
-                0 => (0, 0.0),
-                _ => (
-                    slot.new_branches(v_br),
-                    path_penalty(&self.path_counts, slot.family.path_hash),
-                ),
-            })
-            .collect();
+        for slot in self.families.iter_mut().filter(|slot| slot.live > 0) {
+            slot.count_new_branches(v_br);
+            slot.path_penalty = path_penalty(&self.path_counts, slot.family.path_hash);
+        }
         let mut items = std::mem::take(&mut self.heap).into_vec();
         for item in &mut items {
-            let (new_branches, penalty) = terms[item.family];
-            let family = &self.families[item.family].family;
+            let slot = &self.families[item.family];
             item.score = score_parts(
                 &self.cfg,
-                new_branches,
-                penalty,
-                family.avg_stack,
-                family.num_parents,
+                slot.new_branches,
+                slot.path_penalty,
+                slot.family.avg_stack,
+                slot.family.num_parents,
                 item.input.len(),
                 item.replacement_len,
             );
