@@ -42,6 +42,18 @@ pub(crate) struct Family {
 }
 
 impl Family {
+    /// Splits an entry into its family and its own `(input,
+    /// replacement_len)`; [`entry`](Self::entry) is the inverse.
+    fn split(entry: QueueEntry) -> (Family, Vec<u8>, usize) {
+        let family = Family {
+            parent_branches: entry.parent_branches,
+            avg_stack: entry.avg_stack,
+            num_parents: entry.num_parents,
+            path_hash: entry.path_hash,
+        };
+        (family, entry.input, entry.replacement_len)
+    }
+
     fn entry(
         &self,
         parent_branches: BranchSet,
@@ -241,20 +253,7 @@ impl CandidateQueue {
     /// Inserts a candidate, scored against the current `vBr`
     /// (Algorithm 1, line 23). A family of one.
     pub fn push(&mut self, entry: QueueEntry, v_br: &BranchSet) {
-        let QueueEntry {
-            input,
-            parent_branches,
-            replacement_len,
-            avg_stack,
-            num_parents,
-            path_hash,
-        } = entry;
-        let family = Family {
-            parent_branches,
-            avg_stack,
-            num_parents,
-            path_hash,
-        };
+        let (family, input, replacement_len) = Family::split(entry);
         self.push_family(family, [(input, replacement_len)], v_br);
     }
 
@@ -471,20 +470,7 @@ impl CandidateQueue {
         let mut q = CandidateQueue::new(cfg);
         let mut items = Vec::with_capacity(state.items.len());
         for (score, seq, entry) in state.items {
-            let QueueEntry {
-                input,
-                parent_branches,
-                replacement_len,
-                avg_stack,
-                num_parents,
-                path_hash,
-            } = entry;
-            let family = Family {
-                parent_branches,
-                avg_stack,
-                num_parents,
-                path_hash,
-            };
+            let (family, input, replacement_len) = Family::split(entry);
             let id = match q.families.last() {
                 Some(last) if last.family.same_as(&family) => q.families.len() - 1,
                 _ => q.open(family),
