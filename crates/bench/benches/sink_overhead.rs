@@ -1,22 +1,28 @@
-//! Per-execution overhead of the three event sinks on the json subject.
+//! Per-execution overhead of the event sinks on json and mjs.
 //!
 //! `FullLog` materialises every comparison into an event vector;
-//! `LastFailure` keeps only the rejection state; `CoverageOnly` keeps a
+//! `LastFailure` keeps only the rejection state; `FastFailure` keeps
+//! the rejection index and the last comparison; `CoverageOnly` keeps a
 //! branch sequence and an EOF flag. The streaming sinks exist to make
 //! the driver and the AFL baseline cheaper per execution — this bench
 //! quantifies the win (see EXPERIMENTS.md).
 //!
-//! The comparisons are consumer-equivalent: a coverage consumer (the
-//! AFL baseline) needs a `CovSummary`, so its pre-refactor cost is
+//! The json comparisons are consumer-equivalent: a coverage consumer
+//! (the AFL baseline) needs a `CovSummary`, so its pre-refactor cost is
 //! `run()` **plus** `ExecLog::coverage_summary()` (`full_log_coverage`
 //! below), against which `coverage_only` (the streaming sink) is
 //! measured. Likewise `full_log_failure` vs `last_failure` for the
 //! pFuzzer driver. Bare `full_log` is included for context only.
+//!
+//! The mjs group runs the sinks the way campaigns do: the full and fast
+//! tiers through one reused `ExecArena` (the driver's and the fleets'
+//! path), coverage without one (the flood's escalation path), over the
+//! growing near-valid prefixes a pFuzzer campaign executes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use pdf_runtime::{Rng, Subject};
+use pdf_runtime::{ExecArena, Rng, Subject};
 
 /// A workload mix resembling what a fuzzing campaign feeds a subject:
 /// short garbage, growing near-valid prefixes, and a few valid inputs.
@@ -37,6 +43,27 @@ fn workload() -> Vec<Vec<u8>> {
             input.push(alphabet[rng.gen_range(0, alphabet.len())]);
         }
         inputs.push(input);
+    }
+    inputs
+}
+
+/// What a pFuzzer campaign on mjs executes: every prefix of the
+/// reference programs, each followed by one substituted byte, so runs
+/// reject deep inside keyword and member-name comparisons. Inputs that
+/// hang are left out: they run to the fuel limit, which would swamp the
+/// sink cost being measured.
+fn mjs_workload(subject: &Subject) -> Vec<Vec<u8>> {
+    let mut rng = Rng::new(7);
+    let alphabet = b"abcdefghijklmnopqrstuvwxyz (){}[];=.,\"'0123456789+<";
+    let mut inputs = Vec::new();
+    for program in pdf_subjects::mjs::reference_corpus() {
+        for len in 0..=program.len() {
+            let mut input = program[..len].to_vec();
+            input.push(alphabet[rng.gen_range(0, alphabet.len())]);
+            if !subject.run_coverage(&input).verdict.is_hang() {
+                inputs.push(input);
+            }
+        }
     }
     inputs
 }
@@ -65,6 +92,25 @@ fn run_mix(subject: &Subject, inputs: &[Vec<u8>], mode: &str) -> usize {
     valid
 }
 
+fn run_arena_mix(
+    subject: &Subject,
+    arena: &mut ExecArena,
+    inputs: &[Vec<u8>],
+    mode: &str,
+) -> usize {
+    let mut valid = 0;
+    for input in inputs {
+        let ok = match mode {
+            "last_failure_arena" => subject.run_last_failure_arena(arena, input).valid,
+            "fast_failure_arena" => subject.run_fast_failure_arena(arena, input).valid,
+            "coverage_only" => subject.run_coverage(input).valid,
+            _ => unreachable!(),
+        };
+        valid += usize::from(ok);
+    }
+    valid
+}
+
 fn bench(c: &mut Criterion) {
     let subject = pdf_subjects::json::subject();
     let inputs = workload();
@@ -79,6 +125,18 @@ fn bench(c: &mut Criterion) {
     ] {
         group.bench_function(mode, |b| {
             b.iter(|| run_mix(black_box(&subject), black_box(&inputs), mode))
+        });
+    }
+    group.finish();
+
+    let subject = pdf_subjects::mjs::subject();
+    let inputs = mjs_workload(&subject);
+    let mut arena = ExecArena::new();
+    let mut group = c.benchmark_group("sink_overhead_mjs");
+    group.sample_size(30);
+    for mode in ["last_failure_arena", "fast_failure_arena", "coverage_only"] {
+        group.bench_function(mode, |b| {
+            b.iter(|| run_arena_mix(black_box(&subject), &mut arena, black_box(&inputs), mode))
         });
     }
     group.finish();

@@ -3,19 +3,20 @@
 //! *Building Fast Fuzzers* (PAPERS.md) attributes most per-execution
 //! cost in interpreter-style harnesses to setup/teardown rather than
 //! parsing; our equivalent is the per-exec allocation of the input
-//! copy, the sink's event/branch/watermark vectors and the batch result
-//! vector. An [`ExecArena`] owns all of those buffers and hands them to
-//! each execution *cleared, not reallocated*, so a batch of N candidate
-//! runs through [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast)
-//! or [`Subject::exec_batch_failure`](crate::Subject::exec_batch_failure)
+//! copy, the sinks' branch index, watermark and value buffers, the
+//! event vector and the batch result vectors. An [`ExecArena`] owns all
+//! of those buffers and hands them to each execution *cleared, not
+//! reallocated*, so a batch of N candidate runs through
+//! [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast) or
+//! [`Subject::exec_batch_failure`](crate::Subject::exec_batch_failure)
 //! performs a bounded number of allocations total instead of a handful
 //! per candidate.
 //!
 //! The arena is plain owned state — no unsafe, no interior mutability.
 //! Sinks borrow buffers via [`LastFailure::recycled`](crate::LastFailure::recycled)
-//! / [`FullLog::recycled`](crate::FullLog::recycled) (a `mem::take` of
-//! the cleared vector) and return them in
-//! [`finish_into`](crate::LastFailure::finish_into) /
+//! / `FastFailure::recycled` /
+//! [`FullLog::recycled`](crate::FullLog::recycled) (a `mem::take`) and
+//! return them in [`finish_into`](crate::LastFailure::finish_into) /
 //! [`recycle_log`](ExecArena::recycle_log). Dropping a sink without
 //! returning its buffers is safe; the arena simply reallocates next
 //! time.
@@ -33,8 +34,9 @@
 //! assert!(results[0].valid);
 //! ```
 
-use crate::coverage::BranchId;
-use crate::events::{CmpValue, Event, ExecLog};
+use crate::coverage::DistinctBranches;
+use crate::events::{Event, ExecLog};
+use crate::sink::ValueBuf;
 use crate::subject::{FailureExecution, FastExecution};
 
 /// Preallocated scratch shared by a sequence of executions: the input
@@ -52,12 +54,15 @@ use crate::subject::{FailureExecution, FastExecution};
 pub struct ExecArena {
     /// Input bytes of the execution in flight (recycled copy target).
     pub(crate) input_buf: Vec<u8>,
-    /// Branch-order sequence buffer (`LastFailure::seq`).
-    pub(crate) seq: Vec<BranchId>,
+    /// Distinct-branch list and its index (`LastFailure::branches`).
+    pub(crate) branches: DistinctBranches,
     /// Per-input-index watermark buffer (`LastFailure::watermarks`).
     pub(crate) watermarks: Vec<u32>,
-    /// Failed-comparison scratch (`LastFailure::failed`).
-    pub(crate) failed: Vec<CmpValue>,
+    /// Failed-comparison values (`LastFailure::failed`,
+    /// `FastFailure::last_failed`).
+    pub(crate) failed: ValueBuf,
+    /// Last-comparison string bytes (both failure sinks).
+    pub(crate) last_bytes: Vec<u8>,
     /// Flat event buffer for recycled `FullLog` runs.
     pub(crate) events: Vec<Event>,
     /// Result slots for [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast).

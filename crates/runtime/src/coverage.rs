@@ -108,6 +108,13 @@ impl BranchSet {
         BranchSet { set }
     }
 
+    /// The set of `distinct`, which holds no duplicates.
+    pub(crate) fn from_distinct(mut distinct: Vec<BranchId>) -> Self {
+        distinct.sort_unstable();
+        debug_assert!(distinct.windows(2).all(|w| w[0] != w[1]));
+        BranchSet { set: distinct }
+    }
+
     /// Inserts a branch; returns `true` if it was not present before.
     pub fn insert(&mut self, b: BranchId) -> bool {
         match self.set.binary_search(&b) {
@@ -154,9 +161,18 @@ impl BranchSet {
         count
     }
 
-    /// Adds every branch of `other` to `self`.
+    /// Whether every branch of `self` is in `other`. A merge walk over
+    /// the two sorted sets.
+    fn is_subset(&self, other: &BranchSet) -> bool {
+        let mut o = other.set.iter();
+        self.set.iter().all(|b| o.any(|x| x == b))
+    }
+
+    /// Adds every branch of `other` to `self`. When `other` adds nothing
+    /// (the common case for a campaign's running coverage) this is one
+    /// merge walk and no allocation.
     pub fn union_with(&mut self, other: &BranchSet) {
-        if other.set.is_empty() {
+        if other.is_subset(self) {
             return;
         }
         if self.set.is_empty() {
@@ -197,6 +213,93 @@ impl BranchSet {
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         h
+    }
+}
+
+/// The distinct branches of one run in first-seen order, behind an
+/// exact open-addressing index. The index is reused across runs without
+/// zeroing: each slot carries the stamp of the run that filled it, and
+/// [`reset`](DistinctBranches::reset) starts a run by bumping the stamp.
+#[derive(Debug, Default)]
+pub(crate) struct DistinctBranches {
+    order: Vec<BranchId>,
+    /// `(stamp, position in order)`; live only under the current stamp.
+    /// Empty or a power of two at most half full.
+    slots: Vec<(u32, u32)>,
+    stamp: u32,
+    /// The latest insert: parse loops repeat a branch many times in a row.
+    last: Option<BranchId>,
+}
+
+impl DistinctBranches {
+    const MIN_SLOTS: usize = 64;
+
+    /// Forgets the previous run's branches, keeping every allocation.
+    pub(crate) fn reset(&mut self) {
+        self.order.clear();
+        self.last = None;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // once every 2^32 runs: stale stamps could alias, so clear them
+            self.slots.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// Records `b`, if new, at the end of the first-seen order.
+    pub(crate) fn insert(&mut self, b: BranchId) {
+        debug_assert_ne!(self.stamp, 0, "reset before the first insert");
+        if self.last == Some(b) {
+            return;
+        }
+        self.last = Some(b);
+        if 2 * (self.order.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(b) & mask;
+        loop {
+            let (stamp, pos) = self.slots[i];
+            if stamp != self.stamp {
+                self.slots[i] = (self.stamp, self.order.len() as u32);
+                self.order.push(b);
+                return;
+            }
+            if self.order[pos as usize] == b {
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Number of distinct branches so far.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The set of the first `n` distinct branches: exactly the branches
+    /// of the raw sequence up to the point where the `n+1`-th first
+    /// appeared.
+    pub(crate) fn first(&self, n: usize) -> BranchSet {
+        BranchSet::from_distinct(self.order[..n].to_vec())
+    }
+
+    fn home(b: BranchId) -> usize {
+        ((b.site.0 ^ u64::from(b.outcome)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize
+    }
+
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(Self::MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, (0, 0));
+        let mask = len - 1;
+        for (pos, &b) in self.order.iter().enumerate() {
+            let mut i = Self::home(b) & mask;
+            while self.slots[i].0 == self.stamp {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (self.stamp, pos as u32);
+        }
     }
 }
 
@@ -297,6 +400,76 @@ mod tests {
         let reference: BranchSet = seq.iter().copied().collect();
         assert_eq!(fast, reference);
         assert_eq!(fast.len(), 300);
+    }
+
+    #[test]
+    fn union_with_subset_keeps_set() {
+        let mut a: BranchSet = [b(1, true), b(5, false), b(9, true)].into_iter().collect();
+        let sub: BranchSet = [b(5, false), b(9, true)].into_iter().collect();
+        assert!(sub.is_subset(&a));
+        assert!(BranchSet::new().is_subset(&a));
+        assert!(!a.is_subset(&sub));
+        let before = a.clone();
+        a.union_with(&sub);
+        assert_eq!(a, before);
+        let disjoint: BranchSet = [b(0, true), b(7, true), b(10, false)].into_iter().collect();
+        a.union_with(&disjoint);
+        assert_eq!(a.len(), 6);
+        let mut empty = BranchSet::new();
+        empty.union_with(&disjoint);
+        assert_eq!(empty, disjoint);
+    }
+
+    #[test]
+    fn distinct_branches_match_from_seq_across_reused_runs() {
+        let mut distinct = DistinctBranches::default();
+        // a dense run grows the index past its first size; the shorter
+        // runs after it reuse the grown, dirty slots
+        let runs: Vec<Vec<BranchId>> = vec![
+            (0..700u64).map(|i| b(i % 300, i % 3 == 0)).collect(),
+            vec![b(4, true), b(4, true), b(2, false), b(4, true)],
+            vec![],
+            (0..40u64).map(|i| b(i % 13, true)).collect(),
+        ];
+        for seq in runs.iter().chain(&runs) {
+            distinct.reset();
+            for &x in seq {
+                distinct.insert(x);
+            }
+            assert_eq!(distinct.first(distinct.len()), BranchSet::from_seq(seq));
+            for w in 0..=distinct.len() {
+                // the first w distinct branches are a prefix of the raw sequence's
+                let cut = seq
+                    .iter()
+                    .position(|x| !distinct.order[..w].contains(x))
+                    .unwrap_or(seq.len());
+                assert_eq!(distinct.first(w), BranchSet::from_seq(&seq[..cut]));
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_branches_allocate_on_first_insert() {
+        // an `ExecArena` holds one of these, and `ExecArena::new()` must
+        // not allocate: neither may construction nor starting a run
+        let mut distinct = DistinctBranches::default();
+        distinct.reset();
+        assert_eq!(distinct.slots.capacity() + distinct.order.capacity(), 0);
+        distinct.insert(b(1, true));
+        assert_eq!(distinct.slots.len(), DistinctBranches::MIN_SLOTS);
+    }
+
+    #[test]
+    fn distinct_branches_survive_stamp_wraparound() {
+        let mut distinct = DistinctBranches::default();
+        distinct.reset();
+        distinct.insert(b(1, true));
+        distinct.stamp = u32::MAX;
+        distinct.reset();
+        assert_eq!(distinct.stamp, 1);
+        // slot stamps written under the old counter must not alias
+        distinct.insert(b(1, true));
+        assert_eq!(distinct.len(), 1);
     }
 
     #[test]

@@ -58,11 +58,7 @@ impl CmpValue {
     /// Length of the replacement this comparison suggests (`len(c)` in the
     /// heuristic of Algorithm 1, line 49).
     pub fn replacement_len(&self) -> usize {
-        match self {
-            CmpValue::Byte(_) => 1,
-            CmpValue::Range(..) => 1,
-            CmpValue::Str { full, matched } => full.len().saturating_sub(*matched),
-        }
+        self.as_lazy().replacement_len()
     }
 
     /// The inclusive range of bytes that would satisfy this comparison
@@ -72,11 +68,7 @@ impl CmpValue {
     /// `None` for a fully-matched string comparison, which constrains
     /// no further byte.
     pub fn accepted_first(&self) -> Option<(u8, u8)> {
-        match self {
-            CmpValue::Byte(b) => Some((*b, *b)),
-            CmpValue::Range(lo, hi) => Some((*lo.min(hi), *lo.max(hi))),
-            CmpValue::Str { full, matched } => full.get(*matched).map(|&b| (b, b)),
-        }
+        self.as_lazy().accepted_first()
     }
 }
 
@@ -142,13 +134,23 @@ impl LazyCmpValue<'_> {
         }
     }
 
-    /// Length of the replacement this comparison suggests (mirrors
+    /// Length of the replacement this comparison suggests (see
     /// [`CmpValue::replacement_len`]).
     pub fn replacement_len(&self) -> usize {
         match *self {
             LazyCmpValue::Byte(_) => 1,
             LazyCmpValue::Range(..) => 1,
             LazyCmpValue::Str { full, matched } => full.len().saturating_sub(matched),
+        }
+    }
+
+    /// The next-byte range this comparison accepts (see
+    /// [`CmpValue::accepted_first`]).
+    pub fn accepted_first(&self) -> Option<(u8, u8)> {
+        match *self {
+            LazyCmpValue::Byte(b) => Some((b, b)),
+            LazyCmpValue::Range(lo, hi) => Some((lo.min(hi), lo.max(hi))),
+            LazyCmpValue::Str { full, matched } => full.get(matched).map(|&b| (b, b)),
         }
     }
 }

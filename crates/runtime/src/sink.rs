@@ -24,14 +24,15 @@
 //! [`ExecLog::fast_summary`] are the reference implementations, and the
 //! property tests in `tests/` hold the streaming versions to them).
 //!
-//! [`FullLog`] and [`LastFailure`] additionally support *recycled*
-//! construction from an [`ExecArena`]: their internal vectors are taken
-//! from the arena on construction and handed back cleared after the
-//! summary is built, so a batch of executions reuses one allocation set
-//! (see [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast)).
+//! [`FullLog`], [`LastFailure`] and (inside the crate) [`FastFailure`]
+//! additionally support *recycled* construction from an [`ExecArena`]:
+//! their internal buffers are taken from the arena on construction and
+//! handed back after the summary is built, so a batch of executions
+//! reuses one allocation set (see
+//! [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast)).
 
 use crate::arena::ExecArena;
-use crate::coverage::{BranchId, BranchSet};
+use crate::coverage::{BranchId, BranchSet, DistinctBranches};
 use crate::events::{
     cmp_fingerprint, Candidate, Cmp, CmpMeta, CmpValue, Event, ExecLog, LazyCmpValue,
 };
@@ -257,31 +258,156 @@ pub struct FailureSummary {
 
 const WATERMARK_UNSET: u32 = u32::MAX;
 
-/// The fast driver sink: maintains the rejection index and branch
-/// coverage *while the run streams*, discarding each comparison
-/// immediately. No event vector is kept; the per-event state is a
-/// branch-order list (16 bytes per branch), a per-input-index watermark
-/// used to reproduce [`ExecLog::branches_up_to_rejection`] exactly, and
-/// the expected values of the failed comparisons at the current
-/// rejection index (cleared whenever the index advances). Candidate
-/// expansion — the expensive part, up to 16 allocations per range
-/// comparison — happens once in [`finish`](EventSink::finish), exactly
-/// like the batch [`ExecLog::substitution_candidates`].
+/// An expected value a sink keeps past its event: `Byte`/`Range`
+/// inline, `Str` as a span of a byte buffer the sink reuses.
+#[derive(Debug, Clone, Copy)]
+enum Kept {
+    Byte(u8),
+    Range(u8, u8),
+    Str {
+        start: usize,
+        end: usize,
+        matched: usize,
+    },
+}
+
+impl Kept {
+    /// Keeps `value`, appending a string's bytes to `bytes`.
+    fn copy(value: &LazyCmpValue<'_>, bytes: &mut Vec<u8>) -> Kept {
+        match *value {
+            LazyCmpValue::Byte(b) => Kept::Byte(b),
+            LazyCmpValue::Range(lo, hi) => Kept::Range(lo, hi),
+            LazyCmpValue::Str { full, matched } => {
+                let start = bytes.len();
+                bytes.extend_from_slice(full);
+                Kept::Str {
+                    start,
+                    end: bytes.len(),
+                    matched,
+                }
+            }
+        }
+    }
+
+    /// The kept value, viewed in the buffer it was copied into.
+    fn view(self, bytes: &[u8]) -> LazyCmpValue<'_> {
+        match self {
+            Kept::Byte(b) => LazyCmpValue::Byte(b),
+            Kept::Range(lo, hi) => LazyCmpValue::Range(lo, hi),
+            Kept::Str {
+                start,
+                end,
+                matched,
+            } => LazyCmpValue::Str {
+                full: &bytes[start..end],
+                matched,
+            },
+        }
+    }
+}
+
+/// A list of expected values whose strings share one reused buffer, so
+/// keeping a value allocates nothing once the buffers are warm.
+#[derive(Debug, Default)]
+pub(crate) struct ValueBuf {
+    values: Vec<Kept>,
+    bytes: Vec<u8>,
+}
+
+impl ValueBuf {
+    fn clear(&mut self) {
+        self.values.clear();
+        self.bytes.clear();
+    }
+
+    fn push(&mut self, value: &LazyCmpValue<'_>) {
+        self.values.push(Kept::copy(value, &mut self.bytes));
+    }
+
+    /// Replaces the contents with `value` alone.
+    fn set(&mut self, value: &LazyCmpValue<'_>) {
+        self.clear();
+        self.push(value);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = LazyCmpValue<'_>> {
+        self.values.iter().map(|k| k.view(&self.bytes))
+    }
+
+    fn last(&self) -> Option<LazyCmpValue<'_>> {
+        self.values.last().map(|k| k.view(&self.bytes))
+    }
+}
+
+/// The latest comparison of a run, any outcome: kept as it streams and
+/// fingerprinted once, when the run is summarised.
+#[derive(Debug, Default)]
+struct LastCmp {
+    last: Option<(CmpMeta, Kept)>,
+    /// String bytes of the kept value.
+    bytes: Vec<u8>,
+    /// Depth of the comparison before the last (the last's own if none).
+    prev_depth: usize,
+}
+
+impl LastCmp {
+    fn recycled(bytes: Vec<u8>) -> Self {
+        LastCmp {
+            bytes,
+            ..LastCmp::default()
+        }
+    }
+
+    fn note(&mut self, meta: CmpMeta, expected: &LazyCmpValue<'_>) {
+        self.prev_depth = self.last.map_or(meta.depth, |(m, _)| m.depth);
+        self.bytes.clear();
+        self.last = Some((meta, Kept::copy(expected, &mut self.bytes)));
+    }
+
+    /// [`cmp_fingerprint`] of the last comparison, `0` when there was none.
+    fn fingerprint(&self) -> u64 {
+        self.last.map_or(0, |(meta, kept)| {
+            cmp_fingerprint(&meta, &kept.view(&self.bytes))
+        })
+    }
+
+    /// Average stack depth over the last two comparisons (a single
+    /// comparison averages with itself, which is exact).
+    fn avg_stack_size(&self) -> f64 {
+        self.last
+            .map_or(0.0, |(m, _)| (self.prev_depth + m.depth) as f64 / 2.0)
+    }
+}
+
+/// The full driver sink: maintains the rejection index and branch
+/// coverage *while the run streams*, keeping per event only what the
+/// summary needs:
+///
+/// - each branch once, in first-seen order, through an exact index
+///   (consecutive repeats are skipped outright);
+/// - per input index, a watermark: how many distinct branches had been
+///   seen at the first observed comparison there, which reproduces
+///   [`ExecLog::branches_up_to_rejection`] exactly (a branch occurs
+///   before that comparison exactly when its first occurrence does);
+/// - the expected values of the failed comparisons at the current
+///   rejection index, copied into a reused buffer (cleared whenever the
+///   index advances);
+/// - the last comparison, fingerprinted once at the end.
+///
+/// Candidate expansion — one allocation per candidate — happens once in
+/// [`finish`](EventSink::finish), exactly like the batch
+/// [`ExecLog::substitution_candidates`].
 #[derive(Debug, Default)]
 pub struct LastFailure {
-    seq: Vec<BranchId>,
-    /// `watermarks[i]` = number of branch events seen before the first
-    /// observed comparison at input index `i` (UNSET until then).
+    branches: DistinctBranches,
+    /// `watermarks[i]` = number of distinct branches seen before the
+    /// first observed comparison at input index `i` (UNSET until then).
     watermarks: Vec<u32>,
     rejection: Option<usize>,
     /// Expected values of the failed observed comparisons at
     /// `rejection`, in program order.
-    failed: Vec<CmpValue>,
-    /// Depths of the previous-to-last and last comparison.
-    last_depths: [usize; 2],
-    cmp_seen: u64,
-    /// [`cmp_fingerprint`] of the last comparison, any outcome.
-    last_cmp: u64,
+    failed: ValueBuf,
+    last: LastCmp,
     eof: Option<usize>,
     events: u64,
 }
@@ -291,61 +417,56 @@ impl LastFailure {
     /// executions reuse one allocation set. Pair with
     /// [`finish_into`](LastFailure::finish_into) to hand them back.
     pub fn recycled(arena: &mut ExecArena) -> Self {
-        let mut seq = std::mem::take(&mut arena.seq);
-        seq.clear();
-        let mut watermarks = std::mem::take(&mut arena.watermarks);
-        watermarks.clear();
-        let mut failed = std::mem::take(&mut arena.failed);
-        failed.clear();
         LastFailure {
-            seq,
-            watermarks,
-            failed,
+            branches: std::mem::take(&mut arena.branches),
+            watermarks: std::mem::take(&mut arena.watermarks),
+            failed: std::mem::take(&mut arena.failed),
+            last: LastCmp::recycled(std::mem::take(&mut arena.last_bytes)),
             ..LastFailure::default()
         }
     }
 
     /// [`finish`](EventSink::finish), then returns the internal buffers
     /// to `arena` for the next execution.
-    pub fn finish_into(mut self, arena: &mut ExecArena) -> FailureSummary {
+    pub fn finish_into(self, arena: &mut ExecArena) -> FailureSummary {
         let summary = self.summarize();
-        self.seq.clear();
-        self.watermarks.clear();
-        self.failed.clear();
-        arena.seq = std::mem::take(&mut self.seq);
-        arena.watermarks = std::mem::take(&mut self.watermarks);
-        arena.failed = std::mem::take(&mut self.failed);
+        arena.branches = self.branches;
+        arena.watermarks = self.watermarks;
+        arena.failed = self.failed;
+        arena.last_bytes = self.last.bytes;
         summary
     }
 
     fn summarize(&self) -> FailureSummary {
-        let branches = BranchSet::from_seq(&self.seq);
-        let branches_up_to_rejection = match self.rejection {
-            None => branches.clone(),
-            Some(r) => {
-                let w = self.watermarks[r];
-                debug_assert_ne!(w, WATERMARK_UNSET, "rejection implies a watermark");
-                BranchSet::from_seq(&self.seq[..w as usize])
-            }
-        };
-        let avg_stack_size = match self.cmp_seen {
-            0 => 0.0,
-            1 => self.last_depths[1] as f64,
-            _ => (self.last_depths[0] + self.last_depths[1]) as f64 / 2.0,
+        let covered = self.branches.len();
+        let branches = self.branches.first(covered);
+        // a rejection index always has a watermark: both are set by an
+        // observed comparison there
+        let branches_up_to_rejection = match self.rejection.map(|r| self.watermarks[r] as usize) {
+            Some(w) if w < covered => self.branches.first(w),
+            _ => branches.clone(),
         };
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut expected_tokens: Vec<Vec<u8>> = Vec::new();
         let mut accepted_first: Vec<(u8, u8)> = Vec::new();
         if let Some(idx) = self.rejection {
-            for expected in &self.failed {
+            // A replacement's length is its `replacement_len`, so equal
+            // bytes mean a duplicate candidate: single bytes are tracked
+            // in a 256-bit set, only multi-byte suffixes scan.
+            let mut single = [0u64; 4];
+            for expected in self.failed.iter() {
                 let replacement_len = expected.replacement_len();
                 expected.for_each_replacement(|bytes| {
-                    let duplicate = candidates.iter().any(|o| {
-                        o.at_index == idx
-                            && o.replacement_len == replacement_len
-                            && o.bytes == bytes
-                    });
-                    if !duplicate {
+                    let fresh = match *bytes {
+                        [b] => {
+                            let (word, bit) = (usize::from(b / 64), 1u64 << (b % 64));
+                            let fresh = single[word] & bit == 0;
+                            single[word] |= bit;
+                            fresh
+                        }
+                        _ => !candidates.iter().any(|c| c.bytes == bytes),
+                    };
+                    if fresh {
                         candidates.push(Candidate {
                             at_index: idx,
                             replacement_len,
@@ -353,9 +474,9 @@ impl LastFailure {
                         });
                     }
                 });
-                if let CmpValue::Str { full, .. } = expected {
+                if let LazyCmpValue::Str { full, .. } = expected {
                     if full.len() >= 2 && !expected_tokens.iter().any(|t| t == full) {
-                        expected_tokens.push(full.clone());
+                        expected_tokens.push(full.to_vec());
                     }
                 }
                 if let Some(span) = expected.accepted_first() {
@@ -373,10 +494,10 @@ impl LastFailure {
             candidates,
             expected_tokens,
             accepted_first,
-            avg_stack_size,
+            avg_stack_size: self.last.avg_stack_size(),
             eof_access: self.eof,
             events: self.events,
-            last_cmp_fingerprint: self.last_cmp,
+            last_cmp_fingerprint: self.last.fingerprint(),
         }
     }
 }
@@ -385,6 +506,8 @@ impl EventSink for LastFailure {
     type Summary = FailureSummary;
 
     fn begin(&mut self, input_len: usize) {
+        self.branches.reset();
+        self.failed.clear();
         // clear-and-resize rather than a fresh `vec![...]` so recycled
         // sinks reuse the arena's watermark allocation
         self.watermarks.clear();
@@ -393,38 +516,30 @@ impl EventSink for LastFailure {
 
     fn on_cmp(&mut self, meta: CmpMeta, expected: LazyCmpValue<'_>) {
         self.events += 1;
-        if self.cmp_seen == 0 {
-            self.last_depths = [meta.depth, meta.depth];
-        } else {
-            self.last_depths[0] = self.last_depths[1];
-            self.last_depths[1] = meta.depth;
-        }
-        self.cmp_seen += 1;
-        self.last_cmp = cmp_fingerprint(&meta, &expected);
+        self.last.note(meta, &expected);
         if meta.observed.is_none() {
             return;
         }
         let w = &mut self.watermarks[meta.index];
         if *w == WATERMARK_UNSET {
-            *w = self.seq.len() as u32;
+            *w = self.branches.len() as u32;
         }
         if meta.outcome {
             return;
         }
         match self.rejection {
             Some(r) if meta.index < r => {}
-            Some(r) if meta.index == r => self.failed.push(expected.materialise()),
+            Some(r) if meta.index == r => self.failed.push(&expected),
             _ => {
                 self.rejection = Some(meta.index);
-                self.failed.clear();
-                self.failed.push(expected.materialise());
+                self.failed.set(&expected);
             }
         }
     }
 
     fn on_branch(&mut self, branch: BranchId, _pos: usize) {
         self.events += 1;
-        self.seq.push(branch);
+        self.branches.insert(branch);
     }
 
     fn on_eof(&mut self, index: usize) {
@@ -467,37 +582,66 @@ pub struct FastSummary {
 }
 
 /// The near-zero-cost sink of the fast execution tier: no branch
-/// sequence, no watermarks, no candidate expansion — just the rejection
-/// index, the expected value of the last failed comparison there, and a
-/// running fingerprint of the latest comparison. Per-event work is a
-/// handful of integer stores plus one FNV fold; the only allocation is
-/// materialising a failed `strcmp`'s expected string.
+/// coverage, no watermarks, no candidate expansion — just the rejection
+/// index, the expected value of the last failed comparison there and
+/// the latest comparison, both copied into reused buffers. Per-event
+/// work is a handful of stores (plus a short copy for a `strcmp`); the
+/// fingerprint is computed and `last_failed` materialised once, in
+/// [`finish`](EventSink::finish).
 #[derive(Debug, Default)]
 pub struct FastFailure {
     rejection: Option<usize>,
-    last_failed: Option<CmpValue>,
-    last_cmp: u64,
-    last_depths: [usize; 2],
-    cmp_seen: u64,
+    /// Expected value of the last failed observed comparison at
+    /// `rejection` (empty when there is none).
+    last_failed: ValueBuf,
+    last: LastCmp,
     eof: Option<usize>,
     events: u64,
+}
+
+impl FastFailure {
+    /// A sink whose buffers come from `arena`, so repeated executions
+    /// reuse one allocation set. Pair with
+    /// [`finish_into`](FastFailure::finish_into) to hand them back.
+    pub(crate) fn recycled(arena: &mut ExecArena) -> Self {
+        FastFailure {
+            last_failed: std::mem::take(&mut arena.failed),
+            last: LastCmp::recycled(std::mem::take(&mut arena.last_bytes)),
+            ..FastFailure::default()
+        }
+    }
+
+    /// [`finish`](EventSink::finish), then returns the buffers to
+    /// `arena` for the next execution.
+    pub(crate) fn finish_into(self, arena: &mut ExecArena) -> FastSummary {
+        let summary = self.summarize();
+        arena.failed = self.last_failed;
+        arena.last_bytes = self.last.bytes;
+        summary
+    }
+
+    fn summarize(&self) -> FastSummary {
+        FastSummary {
+            rejection_index: self.rejection,
+            last_failed: self.last_failed.last().map(|v| v.materialise()),
+            last_cmp_fingerprint: self.last.fingerprint(),
+            avg_stack_size: self.last.avg_stack_size(),
+            eof_access: self.eof,
+            events: self.events,
+        }
+    }
 }
 
 impl EventSink for FastFailure {
     type Summary = FastSummary;
 
-    fn begin(&mut self, _input_len: usize) {}
+    fn begin(&mut self, _input_len: usize) {
+        self.last_failed.clear();
+    }
 
     fn on_cmp(&mut self, meta: CmpMeta, expected: LazyCmpValue<'_>) {
         self.events += 1;
-        if self.cmp_seen == 0 {
-            self.last_depths = [meta.depth, meta.depth];
-        } else {
-            self.last_depths[0] = self.last_depths[1];
-            self.last_depths[1] = meta.depth;
-        }
-        self.cmp_seen += 1;
-        self.last_cmp = cmp_fingerprint(&meta, &expected);
+        self.last.note(meta, &expected);
         if meta.observed.is_none() || meta.outcome {
             return;
         }
@@ -507,7 +651,7 @@ impl EventSink for FastFailure {
             Some(r) if meta.index < r => {}
             _ => {
                 self.rejection = Some(meta.index);
-                self.last_failed = Some(expected.materialise());
+                self.last_failed.set(&expected);
             }
         }
     }
@@ -524,19 +668,7 @@ impl EventSink for FastFailure {
     }
 
     fn finish(self) -> FastSummary {
-        let avg_stack_size = match self.cmp_seen {
-            0 => 0.0,
-            1 => self.last_depths[1] as f64,
-            _ => (self.last_depths[0] + self.last_depths[1]) as f64 / 2.0,
-        };
-        FastSummary {
-            rejection_index: self.rejection,
-            last_failed: self.last_failed,
-            last_cmp_fingerprint: self.last_cmp,
-            avg_stack_size,
-            eof_access: self.eof,
-            events: self.events,
-        }
+        self.summarize()
     }
 }
 
@@ -616,7 +748,8 @@ impl ExecLog {
 mod tests {
     use super::*;
     use crate::ctx::ExecCtx;
-    use crate::{kw, lit, one_of, range};
+    use crate::site::SiteId;
+    use crate::{cov, kw, lit, one_of, range};
 
     fn drive<S: EventSink>(ctx: &mut ExecCtx<S>) {
         one_of!(ctx, b"([{");
@@ -730,7 +863,100 @@ mod tests {
                 assert_eq!(recycled, fresh, "input {input:?}");
             }
         }
-        assert!(arena.seq.capacity() > 0, "buffers returned to the arena");
+        assert!(arena.branches.len() > 0, "buffers returned to the arena");
+    }
+
+    /// Runs `parse` on `input` under the full log and under both
+    /// failure sinks recycled through `arena`, and checks the streaming
+    /// summaries against the full-log reductions.
+    type Parser<S> = fn(&mut ExecCtx<S>);
+
+    fn check_recycled(
+        arena: &mut ExecArena,
+        input: &[u8],
+        parse: (Parser<FullLog>, Parser<LastFailure>, Parser<FastFailure>),
+    ) {
+        let mut full = ExecCtx::new(input);
+        parse.0(&mut full);
+        let log = full.into_log();
+
+        let sink = LastFailure::recycled(arena);
+        let mut ctx = ExecCtx::with_sink(input, crate::ctx::DEFAULT_FUEL, sink);
+        parse.1(&mut ctx);
+        let (_, sink) = ctx.into_parts();
+        assert_eq!(
+            sink.finish_into(arena),
+            log.failure_summary(),
+            "input {input:?}"
+        );
+
+        let sink = FastFailure::recycled(arena);
+        let mut ctx = ExecCtx::with_sink(input, crate::ctx::DEFAULT_FUEL, sink);
+        parse.2(&mut ctx);
+        let (_, sink) = ctx.into_parts();
+        assert_eq!(
+            sink.finish_into(arena),
+            log.fast_summary(),
+            "input {input:?}"
+        );
+    }
+
+    /// Covers 40 distinct sites per input byte (each twice in a row),
+    /// then rejects at the first non-`a` and covers error-handling
+    /// sites that must stay out of `branches_up_to_rejection`.
+    fn wide<S: EventSink>(ctx: &mut ExecCtx<S>) {
+        let width = 40 * ctx.input().len() as u64;
+        for i in 0..width {
+            ctx.cov(SiteId::from_raw(i));
+            ctx.cov(SiteId::from_raw(i));
+        }
+        while lit!(ctx, b'a') {}
+        for i in 0..width {
+            ctx.cov(SiteId::from_raw(i % 7));
+            ctx.cov(SiteId::from_raw(1 << 40 | i));
+        }
+    }
+
+    #[test]
+    fn branch_index_grows_then_serves_small_runs() {
+        let mut arena = ExecArena::default();
+        // 400 and 800 distinct branches outgrow the first index sizes;
+        // the small runs after them reuse the grown, dirty index
+        let inputs: [&[u8]; 6] = [b"aaaaaaaaax", b"", b"ab", &[b'a'; 20], b"x", b"aaaa"];
+        for _ in 0..2 {
+            for input in inputs {
+                check_recycled(&mut arena, input, (wide, wide, wide));
+            }
+        }
+    }
+
+    const LONG_KEYWORD: &str = "an_expected_keyword_long_enough_to_rule_out_any_fixed_inline_copy_\
+                                of_the_comparison_value_0123456789";
+
+    fn long_keyword<S: EventSink>(ctx: &mut ExecCtx<S>) {
+        cov!(ctx);
+        if !kw!(ctx, LONG_KEYWORD) {
+            // a short comparison after the long one keeps the long value
+            // in the failed list but not as the last comparison
+            lit!(ctx, b'!');
+        }
+        kw!(ctx, LONG_KEYWORD);
+    }
+
+    #[test]
+    fn long_string_comparisons_fingerprint_like_the_full_log() {
+        let mut arena = ExecArena::default();
+        let long = LONG_KEYWORD.as_bytes();
+        let inputs: [&[u8]; 5] = [b"", b"an_exp", &long[..90], long, b"!an_x"];
+        for _ in 0..2 {
+            for input in inputs {
+                check_recycled(
+                    &mut arena,
+                    input,
+                    (long_keyword, long_keyword, long_keyword),
+                );
+            }
+        }
     }
 
     #[test]

@@ -449,22 +449,36 @@ impl Subject {
     }
 
     /// [`run_fast_failure`](Self::run_fast_failure) through an
-    /// [`ExecArena`]: the input copy reuses the arena's buffer. Summary
-    /// and verdict are identical to the arena-less run.
+    /// [`ExecArena`]: the input copy and the sink's buffers reuse the
+    /// arena's (the full-log fallback recycles its event buffer).
+    /// Summary and verdict are identical to the arena-less run.
     pub fn run_fast_failure_arena(&self, arena: &mut ExecArena, input: &[u8]) -> FastExecution {
-        let Some(entry) = self.fast_failure_entry else {
-            return self.run_fast_failure(input);
-        };
         let mut buf = std::mem::take(&mut arena.input_buf);
         buf.clear();
         buf.extend_from_slice(input);
-        let (verdict, ctx) = self.exec_ctx(buf, entry, FastFailure::default());
-        let (buf, sink) = ctx.into_parts();
-        arena.input_buf = buf;
+        let (verdict, fast) = match self.fast_failure_entry {
+            Some(entry) => {
+                let sink = FastFailure::recycled(arena);
+                let (verdict, ctx) = self.exec_ctx(buf, entry, sink);
+                let (buf, sink) = ctx.into_parts();
+                arena.input_buf = buf;
+                (verdict, sink.finish_into(arena))
+            }
+            None => {
+                let sink = FullLog::recycled(arena);
+                let (verdict, ctx) = self.exec_ctx(buf, self.entry, sink);
+                let (buf, sink) = ctx.into_parts();
+                arena.input_buf = buf;
+                let log = sink.finish();
+                let fast = log.fast_summary();
+                arena.recycle_log(log);
+                (verdict, fast)
+            }
+        };
         FastExecution {
             valid: verdict.is_accept(),
             verdict,
-            fast: sink.finish(),
+            fast,
         }
     }
 
@@ -510,43 +524,8 @@ impl Subject {
         let mut results = std::mem::take(&mut arena.fast_results);
         results.clear();
         results.reserve(inputs.len());
-        match self.fast_failure_entry {
-            Some(entry) => {
-                let mut buf = std::mem::take(&mut arena.input_buf);
-                for input in inputs {
-                    buf.clear();
-                    buf.extend_from_slice(input.as_ref());
-                    let (verdict, ctx) = self.exec_ctx(buf, entry, FastFailure::default());
-                    let (ret, sink) = ctx.into_parts();
-                    buf = ret;
-                    results.push(FastExecution {
-                        valid: verdict.is_accept(),
-                        verdict,
-                        fast: sink.finish(),
-                    });
-                }
-                arena.input_buf = buf;
-            }
-            None => {
-                // full-log fallback, still recycling the event buffer
-                for input in inputs {
-                    let sink = FullLog::recycled(arena);
-                    let mut buf = std::mem::take(&mut arena.input_buf);
-                    buf.clear();
-                    buf.extend_from_slice(input.as_ref());
-                    let (verdict, ctx) = self.exec_ctx(buf, self.entry, sink);
-                    let (ret, sink) = ctx.into_parts();
-                    arena.input_buf = ret;
-                    let log = sink.finish();
-                    let fast = log.fast_summary();
-                    arena.recycle_log(log);
-                    results.push(FastExecution {
-                        valid: verdict.is_accept(),
-                        verdict,
-                        fast,
-                    });
-                }
-            }
+        for input in inputs {
+            results.push(self.run_fast_failure_arena(arena, input.as_ref()));
         }
         arena.fast_results = results;
         &arena.fast_results

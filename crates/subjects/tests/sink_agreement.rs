@@ -57,6 +57,25 @@ fn assert_sinks_agree(input: &[u8]) {
     }
 }
 
+/// Near-valid prefixes that reject deep inside the input, including mjs
+/// prefixes that stop inside keyword and member-name `strcmp`s.
+fn near_valid_prefix() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("[a]\nk=v".to_string()),
+        Just("a,b\nc".to_string()),
+        Just("{\"k\": [1,".to_string()),
+        Just("{i=1; while".to_string()),
+        Just("x = \"str".to_string()),
+        Just("((([{<".to_string()),
+        Just("typ".to_string()),
+        Just("x = JSON.strin".to_string()),
+        Just("for (k i".to_string()),
+        Just("x = [1].indexO".to_string()),
+        Just("x = \"abc\".len".to_string()),
+        Just("do x = 1; whil".to_string()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -74,14 +93,7 @@ proptest! {
 
     #[test]
     fn sinks_agree_on_near_valid_inputs(
-        prefix in prop_oneof![
-            Just("[a]\nk=v".to_string()),
-            Just("a,b\nc".to_string()),
-            Just("{\"k\": [1,".to_string()),
-            Just("{i=1; while".to_string()),
-            Just("x = \"str".to_string()),
-            Just("((([{<".to_string()),
-        ],
+        prefix in near_valid_prefix(),
         tail in "[ -~]{0,6}",
     ) {
         // rejection typically lands deep inside the input here
@@ -107,6 +119,41 @@ proptest! {
                 prop_assert_eq!(exec.valid, single.valid, "{}", info.name);
                 prop_assert_eq!(&exec.verdict, &single.verdict, "{}", info.name);
                 prop_assert_eq!(&exec.fast, &single.fast, "{}", info.name);
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_full_tier_agrees_with_the_full_log(
+        inputs in proptest::collection::vec(
+            prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..24),
+                (near_valid_prefix(), "[ -~]{0,6}")
+                    .prop_map(|(prefix, tail)| format!("{prefix}{tail}").into_bytes()),
+            ],
+            1..8,
+        ),
+    ) {
+        // the driver's full tier: one arena shared by every run, left
+        // dirty by the previous subject and the previous input, through
+        // both the single-run and the batch entry points
+        let mut arena = ExecArena::new();
+        for info in pdf_subjects::all_subjects() {
+            let references: Vec<_> = inputs
+                .iter()
+                .map(|input| info.subject.run(input))
+                .collect();
+            for (input, full) in inputs.iter().zip(&references) {
+                let exec = info.subject.run_last_failure_arena(&mut arena, input);
+                prop_assert_eq!(exec.valid, full.valid, "{}", info.name);
+                prop_assert_eq!(&exec.verdict, &full.verdict, "{}", info.name);
+                prop_assert_eq!(&exec.failure, &full.log.failure_summary(), "{}", info.name);
+            }
+            let batch = info.subject.exec_batch_failure(&mut arena, &inputs);
+            prop_assert_eq!(batch.len(), inputs.len());
+            for (exec, full) in batch.iter().zip(&references) {
+                prop_assert_eq!(exec.valid, full.valid, "{}", info.name);
+                prop_assert_eq!(&exec.failure, &full.log.failure_summary(), "{}", info.name);
             }
         }
     }
