@@ -373,6 +373,106 @@ mod tests {
         }
     }
 
+    /// Journals and checkpoints embed `config_hash`, so its value for
+    /// every surviving configuration is part of the on-disk format.
+    /// These constants were computed before any option was removed;
+    /// a change here breaks replay of recorded campaigns.
+    #[test]
+    fn config_hash_values_are_pinned() {
+        let pins: [(&str, DriverConfig, u64); 11] = [
+            ("default", DriverConfig::default(), 0xec2fb96a112f83c5),
+            (
+                "tiered",
+                DriverConfig {
+                    exec_mode: ExecMode::Tiered,
+                    ..DriverConfig::default()
+                },
+                0x71ec39cf42395bcb,
+            ),
+            (
+                "dictionary",
+                DriverConfig {
+                    dictionary: vec![b"while".to_vec(), b"if".to_vec()],
+                    ..DriverConfig::default()
+                },
+                0x7a3cb0315edc89a4,
+            ),
+            (
+                "mine-tokens",
+                DriverConfig {
+                    mine_tokens: true,
+                    ..DriverConfig::default()
+                },
+                0xa7eab08a1e1439e9,
+            ),
+            (
+                "depth-first",
+                DriverConfig {
+                    search: SearchMode::DepthFirst,
+                    ..DriverConfig::default()
+                },
+                0xe1733b0a6bfdb910,
+            ),
+            (
+                "breadth-first",
+                DriverConfig {
+                    search: SearchMode::BreadthFirst,
+                    ..DriverConfig::default()
+                },
+                0x5c87aea60b70c963,
+            ),
+            (
+                "replace-only",
+                DriverConfig {
+                    extension_mode: ExtensionMode::ReplaceOnly,
+                    ..DriverConfig::default()
+                },
+                0x77c815dee237796a,
+            ),
+            (
+                "append-only",
+                DriverConfig {
+                    extension_mode: ExtensionMode::AppendOnly,
+                    ..DriverConfig::default()
+                },
+                0xe59bf1f67eb8b6af,
+            ),
+            (
+                "trace",
+                DriverConfig {
+                    trace: true,
+                    ..DriverConfig::default()
+                },
+                0xec331d6a11326388,
+            ),
+            (
+                "no-path-dedup",
+                DriverConfig {
+                    heuristic: HeuristicConfig {
+                        use_path_dedup: false,
+                        ..HeuristicConfig::default()
+                    },
+                    ..DriverConfig::default()
+                },
+                0xd7000e610d778c22,
+            ),
+            (
+                "tiered-mining-dictionary",
+                DriverConfig {
+                    exec_mode: ExecMode::Tiered,
+                    dictionary: vec![b"true".to_vec()],
+                    mine_tokens: true,
+                    max_valid_inputs: Some(5),
+                    ..DriverConfig::default()
+                },
+                0x177d89f9a5f753de,
+            ),
+        ];
+        for (name, cfg, want) in pins {
+            assert_eq!(cfg.config_hash(), want, "{name}");
+        }
+    }
+
     #[test]
     fn config_hash_sees_dictionary_order() {
         let a = DriverConfig {
