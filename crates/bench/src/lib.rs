@@ -1,43 +1,20 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each bench target regenerates one table or figure of the paper: it
-//! prints the reproduced rows/series once (so `cargo bench` output can
-//! be diffed against EXPERIMENTS.md) and then measures the cost of the
-//! underlying computation with Criterion.
+//! The bench targets measure the cost of the pieces behind the paper's
+//! results (heuristic and dictionary ablations, sinks, metrics, fleet
+//! sync, batch execution, token mining, grammar generation). The tables
+//! and figures themselves are printed by `evalrunner`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pdf_eval::EvalBudget;
-
-/// The execution budget bench targets use per tool and subject. Small
+/// Per-seed execution budget, overridable via `PDF_BENCH_EXECS`. Small
 /// enough to keep `cargo bench` in the minutes, large enough that the
 /// qualitative shape (who wins where) matches the full runs recorded in
 /// EXPERIMENTS.md.
-pub fn bench_budget() -> EvalBudget {
-    EvalBudget {
-        execs: bench_execs(),
-        seeds: vec![1, 2],
-        afl_throughput: 4,
-    }
-}
-
-/// Per-seed execution budget, overridable via `PDF_BENCH_EXECS`.
 pub fn bench_execs() -> u64 {
     std::env::var("PDF_BENCH_EXECS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4_000)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_budget_is_sane() {
-        let b = bench_budget();
-        assert!(b.execs >= 1_000);
-        assert!(!b.seeds.is_empty());
-    }
 }

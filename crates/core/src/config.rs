@@ -94,44 +94,24 @@ pub enum ExtensionMode {
     AppendOnly,
 }
 
-/// Which event sink the driver runs subjects with. Both modes produce
-/// byte-identical reports (the streaming sink is defined by equivalence
-/// to the full-log reductions); they differ only in per-execution cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SinkMode {
-    /// Record the full event log and reduce it to a failure summary
-    /// after each run. Useful when the log itself is wanted (tracing,
-    /// debugging, grammar mining on the side).
-    FullLog,
-    /// Stream events through the
-    /// [`LastFailure`](pdf_runtime::LastFailure) sink: no event vector,
-    /// no per-comparison allocation (the default).
-    #[default]
-    LastFailure,
-}
-
 /// How much instrumentation each candidate execution carries.
 ///
 /// `Full` is the paper's behaviour: every execution produces a complete
 /// [`FailureSummary`](pdf_runtime::FailureSummary) (branch sets, path
-/// hash, substitution candidates). `Fast` runs every candidate under the
-/// near-zero-cost [`FastFailure`](pdf_runtime::FastFailure) sink and
-/// escalates only *valid* inputs to full instrumentation (coverage is
-/// only ever learned from accepted inputs). `Tiered` adds the
-/// fast-failure filter of *Fuzzing with Fast Failure Feedback*: a
-/// rejected candidate is escalated only when its rejection index
-/// advanced past the campaign's watermark or its last comparison is one
-/// the campaign has not seen before — everything else is discarded
-/// without paying for full instrumentation.
+/// hash, substitution candidates). `Tiered` runs every candidate under
+/// the near-zero-cost [`FastFailure`](pdf_runtime::FastFailure) sink
+/// first and applies the fast-failure filter of *Fuzzing with Fast
+/// Failure Feedback*: valid inputs always escalate to full
+/// instrumentation, and a rejected candidate escalates only when its
+/// rejection index advanced past the campaign's watermark or its last
+/// comparison is one the campaign has not seen before — everything else
+/// is discarded without paying for full instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Full instrumentation on every execution (the default; campaign
     /// digests and journals are byte-identical to earlier releases).
     #[default]
     Full,
-    /// Fast-failure sink on every execution; only valid inputs are
-    /// re-run under full instrumentation.
-    Fast,
     /// Two-tier schedule: fast-failure first, escalate survivors of the
     /// rejection-index / last-comparison filter.
     Tiered,
@@ -159,8 +139,6 @@ pub struct DriverConfig {
     pub max_input_len: usize,
     /// Record a step-by-step trace (used by the Figure 1 walkthrough).
     pub trace: bool,
-    /// Which event sink executions run with (see [`SinkMode`]).
-    pub sink: SinkMode,
     /// Instrumentation tiering for candidate executions (see
     /// [`ExecMode`]).
     pub exec_mode: ExecMode,
@@ -188,7 +166,6 @@ impl Default for DriverConfig {
             extension_mode: ExtensionMode::Both,
             max_input_len: 128,
             trace: false,
-            sink: SinkMode::default(),
             exec_mode: ExecMode::default(),
             dictionary: Vec::new(),
             mine_tokens: false,
@@ -237,23 +214,15 @@ impl DriverConfig {
         });
         d.write_u64(self.max_input_len as u64);
         d.write_u8(self.trace as u8);
-        d.write_u8(match self.sink {
-            SinkMode::FullLog => 0,
-            SinkMode::LastFailure => 1,
-        });
+        // The retired sink selector: always the streaming sink (`1`).
+        d.write_u8(1);
         // Folded in only when non-default so that hashes (and the
         // checkpoints / journals that embed them) from releases that
-        // predate `exec_mode` keep verifying byte-for-byte.
-        match self.exec_mode {
-            ExecMode::Full => {}
-            ExecMode::Fast => {
-                d.write_str("exec-mode");
-                d.write_u8(1);
-            }
-            ExecMode::Tiered => {
-                d.write_str("exec-mode");
-                d.write_u8(2);
-            }
+        // predate `exec_mode` keep verifying byte-for-byte. Tiered keeps
+        // the tag `2` it had when a fast-only mode held `1`.
+        if self.exec_mode == ExecMode::Tiered {
+            d.write_str("exec-mode");
+            d.write_u8(2);
         }
         // Same back-compat discipline as `exec_mode`: the dictionary and
         // the mining flag fold in only when non-default, so pre-token
@@ -304,7 +273,6 @@ mod tests {
         assert_eq!(c.extension_mode, ExtensionMode::Both);
         assert_eq!(c.search, SearchMode::Heuristic);
         assert!(!c.trace);
-        assert_eq!(c.sink, SinkMode::LastFailure);
     }
 
     #[test]
@@ -345,14 +313,6 @@ mod tests {
             },
             DriverConfig {
                 max_input_len: 64,
-                ..DriverConfig::default()
-            },
-            DriverConfig {
-                sink: SinkMode::FullLog,
-                ..DriverConfig::default()
-            },
-            DriverConfig {
-                exec_mode: ExecMode::Fast,
                 ..DriverConfig::default()
             },
             DriverConfig {

@@ -13,7 +13,7 @@ use crate::budget::{CampaignBudget, StopReason, DEADLINE_CHECK_INTERVAL};
 use crate::checkpoint::{
     branch_pairs_of, branch_set_of, Checkpoint, CheckpointError, QueueItemSnapshot, QueueSnapshot,
 };
-use crate::config::{DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode, SinkMode};
+use crate::config::{DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode};
 use crate::queue::{CandidateQueue, Family, QueueEntry, QueueState};
 
 /// Cap on the candidate queue; when exceeded, the worst half is dropped.
@@ -958,8 +958,8 @@ impl Fuzzer {
     ///
     /// `Full` runs full instrumentation directly — byte-identical
     /// campaigns (journal encodings, replay digests) to releases that
-    /// predate tiering. `Fast` and `Tiered` run the candidate under the
-    /// near-zero-cost fast-failure sink first and only *escalate* to a
+    /// predate tiering. `Tiered` runs the candidate under the
+    /// near-zero-cost fast-failure sink first and only *escalates* to a
     /// second, fully instrumented run when the cheap result warrants it;
     /// everything else returns a summary synthesized from the fast
     /// signal alone (no branch sets — coverage is only ever learned from
@@ -974,17 +974,6 @@ impl Fuzzer {
     ) -> FailureExecution {
         match self.cfg.exec_mode {
             ExecMode::Full => self.execute_full(report, input),
-            ExecMode::Fast => {
-                let fast = self.execute_fast(report, input);
-                if fast.valid {
-                    // Coverage decides whether a valid input counts as a
-                    // find; that needs the real branch set.
-                    pdf_obs::record(|m| m.tier_escalations.inc());
-                    self.execute_full(report, input)
-                } else {
-                    synthesize_failure(&fast)
-                }
-            }
             ExecMode::Tiered => {
                 let fast = self.execute_fast(report, input);
                 let f = &fast.fast;
@@ -1030,21 +1019,12 @@ impl Fuzzer {
     }
 
     /// One fully instrumented execution (the pre-tiering hot path).
+    /// Subjects without a native last-failure entry point take the
+    /// full-log reduction inside the runner.
     fn execute_full(&mut self, report: &mut FuzzReport, input: &[u8]) -> FailureExecution {
         let _span = pdf_obs::span("driver.exec");
         report.execs += 1;
-        let exec = match self.cfg.sink {
-            SinkMode::LastFailure => self.subject.run_last_failure_arena(&mut self.arena, input),
-            SinkMode::FullLog => {
-                let e = self.subject.run(input);
-                FailureExecution {
-                    valid: e.valid,
-                    error: e.error,
-                    failure: e.log.failure_summary(),
-                    verdict: e.verdict,
-                }
-            }
-        };
+        let exec = self.subject.run_last_failure_arena(&mut self.arena, input);
         if exec.verdict.is_hang() {
             report.stats.hangs += 1;
         }
@@ -1400,32 +1380,33 @@ mod tests {
     #[test]
     fn sink_modes_produce_identical_campaigns() {
         // the streaming LastFailure sink is defined by equivalence to the
-        // full-log reductions; the whole campaign must not notice the
-        // difference
-        for subject in [
-            pdf_subjects::arith::subject(),
-            pdf_subjects::json::subject(),
-        ] {
-            let run = |sink: SinkMode| {
+        // full-log reductions; a subject registered without native sinks
+        // runs every execution through the full-log fallback, and the
+        // whole campaign must not notice the difference
+        for name in ["arith", "cjson"] {
+            let native = pdf_subjects::by_name(name).unwrap().subject;
+            let log_only = Subject::new(native.name(), native.entry()).with_fuel(native.fuel());
+            assert!(native.last_failure_entry().is_some());
+            assert!(log_only.last_failure_entry().is_none());
+            let run = |subject: Subject| {
                 let cfg = DriverConfig {
                     seed: 9,
                     max_execs: 2_000,
-                    sink,
                     trace: true,
                     ..DriverConfig::default()
                 };
                 Fuzzer::new(subject, cfg).run()
             };
-            let fast = run(SinkMode::LastFailure);
-            let full = run(SinkMode::FullLog);
-            assert_eq!(fast.valid_inputs, full.valid_inputs);
-            assert_eq!(fast.valid_found_at, full.valid_found_at);
-            assert_eq!(fast.execs, full.execs);
-            assert_eq!(fast.valid_branches, full.valid_branches);
-            assert_eq!(fast.all_branches, full.all_branches);
-            assert_eq!(fast.stats.events, full.stats.events);
-            assert_eq!(fast.trace.len(), full.trace.len());
-            for (a, b) in fast.trace.iter().zip(&full.trace) {
+            let streamed = run(native);
+            let logged = run(log_only);
+            assert_eq!(streamed.valid_inputs, logged.valid_inputs);
+            assert_eq!(streamed.valid_found_at, logged.valid_found_at);
+            assert_eq!(streamed.execs, logged.execs);
+            assert_eq!(streamed.valid_branches, logged.valid_branches);
+            assert_eq!(streamed.all_branches, logged.all_branches);
+            assert_eq!(streamed.stats.events, logged.stats.events);
+            assert_eq!(streamed.trace.len(), logged.trace.len());
+            for (a, b) in streamed.trace.iter().zip(&logged.trace) {
                 assert_eq!(a.input, b.input);
                 assert_eq!(a.valid, b.valid);
                 assert_eq!(a.eof, b.eof);
@@ -1657,7 +1638,6 @@ mod tests {
         let cfg = DriverConfig {
             seed: 1,
             max_execs: 2_000,
-            sink: SinkMode::FullLog,
             ..DriverConfig::default()
         };
         let a = Fuzzer::new(subject, cfg.clone()).run();
@@ -1700,55 +1680,51 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_tiered_modes_are_deterministic() {
-        for mode in [ExecMode::Fast, ExecMode::Tiered] {
-            let run = || {
-                let cfg = DriverConfig {
-                    seed: 9,
-                    max_execs: 2_000,
-                    exec_mode: mode,
-                    ..DriverConfig::default()
-                };
-                Fuzzer::new(pdf_subjects::arith::subject(), cfg).run()
+    fn tiered_mode_is_deterministic() {
+        let run = || {
+            let cfg = DriverConfig {
+                seed: 9,
+                max_execs: 2_000,
+                exec_mode: ExecMode::Tiered,
+                ..DriverConfig::default()
             };
-            let a = run();
-            let b = run();
-            assert_eq!(a.digest(), b.digest(), "{mode:?} not deterministic");
-            assert_eq!(a.valid_inputs, b.valid_inputs);
-        }
+            Fuzzer::new(pdf_subjects::arith::subject(), cfg).run()
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.digest(), b.digest(), "tiered mode not deterministic");
+        assert_eq!(a.valid_inputs, b.valid_inputs);
     }
 
     #[test]
-    fn fast_and_tiered_valid_inputs_are_genuinely_valid() {
-        for mode in [ExecMode::Fast, ExecMode::Tiered] {
-            for subject in [
-                pdf_subjects::arith::subject(),
-                pdf_subjects::dyck::subject(),
-            ] {
-                let cfg = DriverConfig {
-                    seed: 3,
-                    max_execs: 4_000,
-                    exec_mode: mode,
-                    ..DriverConfig::default()
-                };
-                let report = Fuzzer::new(subject, cfg).run();
+    fn tiered_valid_inputs_are_genuinely_valid() {
+        for subject in [
+            pdf_subjects::arith::subject(),
+            pdf_subjects::dyck::subject(),
+        ] {
+            let cfg = DriverConfig {
+                seed: 3,
+                max_execs: 4_000,
+                exec_mode: ExecMode::Tiered,
+                ..DriverConfig::default()
+            };
+            let report = Fuzzer::new(subject, cfg).run();
+            assert!(
+                !report.valid_inputs.is_empty(),
+                "tiered on {} found nothing",
+                subject.name()
+            );
+            for input in &report.valid_inputs {
                 assert!(
-                    !report.valid_inputs.is_empty(),
-                    "{mode:?} on {} found nothing",
-                    subject.name()
+                    subject.run(input).valid,
+                    "tiered reported invalid input {:?}",
+                    String::from_utf8_lossy(input)
                 );
-                for input in &report.valid_inputs {
-                    assert!(
-                        subject.run(input).valid,
-                        "{mode:?} reported invalid input {:?}",
-                        String::from_utf8_lossy(input)
-                    );
-                }
-                // every valid input went through a full run, so its
-                // coverage is real
-                for b in report.valid_branches.iter() {
-                    assert!(report.all_branches.contains(b));
-                }
+            }
+            // every valid input went through a full run, so its
+            // coverage is real
+            for b in report.valid_branches.iter() {
+                assert!(report.all_branches.contains(b));
             }
         }
     }

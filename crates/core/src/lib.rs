@@ -38,7 +38,7 @@ mod queue;
 
 pub use budget::{CampaignBudget, StopReason, DEADLINE_CHECK_INTERVAL};
 pub use checkpoint::{Checkpoint, CheckpointError, ErrorClass, QueueItemSnapshot, QueueSnapshot};
-pub use config::{DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode, SinkMode};
+pub use config::{DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode};
 pub use driver::{FuzzReport, Fuzzer, SyncPoint, TraceStep};
 pub use heuristic::score;
 pub use queue::{CandidateQueue, QueueEntry};

@@ -1,6 +1,9 @@
-//! Runs the complete evaluation once and prints every table and figure.
+//! Runs the complete evaluation once and prints every table and figure:
+//! Table 1, Tables 2–4, Figure 2, Figure 3, the Section 5.3 headline
+//! and the per-token discovery costs. (Figure 1 is the
+//! `arith_walkthrough` example.)
 //! Usage: evalrunner [--execs N] [--seeds a,b,c] [--afl-mult N]
-//!                   [--jobs N] [--exec-mode full|fast|tiered]
+//!                   [--jobs N] [--exec-mode full|tiered]
 //!                   [--stats-out PATH]
 //!                   [--record PATH] [--replay PATH]
 //!                   [--max-retries N] [--chaos SEED]
@@ -23,10 +26,10 @@
 //! `--exec-mode` selects the pFuzzer cells' instrumentation tiering:
 //! `full` (default) runs every execution fully instrumented and is the
 //! mode whose journals and digests define the byte-identical replay
-//! contract; `fast` runs the near-zero-cost fast-failure sink and
-//! escalates only valid inputs; `tiered` escalates the survivors of
-//! the rejection-watermark/fingerprint filter. AFL and KLEE cells have
-//! no instrumentation tiers and ignore the flag.
+//! contract; `tiered` runs the near-zero-cost fast-failure sink first
+//! and escalates the survivors of the rejection-watermark/fingerprint
+//! filter. AFL and KLEE cells have no instrumentation tiers and ignore
+//! the flag.
 //!
 //! `--submit ADDR` runs the pFuzzer side of the matrix as a service
 //! client instead of in-process: one fleet campaign per
@@ -200,6 +203,10 @@ fn main() {
     println!(
         "{}",
         pdf_eval::render_headline(&pdf_eval::headline_aggregates(&outcomes))
+    );
+    println!(
+        "{}",
+        pdf_eval::render_discovery(&pdf_eval::token_discovery(&outcomes))
     );
     write_metrics(metrics_out.as_deref(), &registry);
 }

@@ -1,7 +1,7 @@
 //! Runs one fuzzing campaign as a sharded cooperative fleet.
 //! Usage: fleetrunner [--subject NAME] [--execs N] [--seeds S]
 //!                    [--shards N] [--sync-every E]
-//!                    [--exec-mode full|fast|tiered]
+//!                    [--exec-mode full|tiered]
 //!                    [--checkpoint-dir D] [--resume]
 //!                    [--stop-after-epochs K] [--compare]
 //!                    [--metrics-out PATH]
@@ -22,9 +22,9 @@
 //! (EXPERIMENTS.md "Fleet sharding").
 //!
 //! `--exec-mode` selects the shards' instrumentation tiering (`full`,
-//! the default, runs every execution fully instrumented; `fast` and
-//! `tiered` run the fast-failure sink and escalate selectively — see
-//! DESIGN.md §12). All three modes are deterministic per seed.
+//! the default, runs every execution fully instrumented; `tiered`
+//! runs the fast-failure sink and escalates selectively — see
+//! DESIGN.md §12). Both modes are deterministic per seed.
 //!
 //! The run always ends by printing `fleet digest:` and
 //! `merged coverage digest:` lines; two invocations with the same

@@ -1,12 +1,12 @@
-//! Coverage-vs-throughput comparison of the three execution modes.
+//! Coverage-vs-throughput comparison of the two execution modes.
 //! Usage: modebench [--execs N] [--seeds S] [--subject NAME]
-//!                  [--exec-mode full|fast|tiered]
+//!                  [--exec-mode full|tiered]
 //!
 //! Runs the pFuzzer driver on every evaluation subject (or just
-//! `--subject NAME`) under each of `full`, `fast` and `tiered`
-//! execution modes (or just `--exec-mode MODE`, matched
-//! case-insensitively) with the same seed and execution budget, and prints
-//! one markdown table row per (subject, mode): valid inputs found,
+//! `--subject NAME`) under both the `full` and `tiered` execution
+//! modes (or just `--exec-mode MODE`, matched case-insensitively) with
+//! the same seed and execution budget, and prints one markdown table
+//! row per (subject, mode): valid inputs found,
 //! branches covered by valid inputs, total branches, wall-clock time
 //! and executions per second. The numbers feed the EXPERIMENTS.md
 //! "Execution tiers" table.
@@ -21,11 +21,11 @@ use pdf_core::{DriverConfig, ExecMode, Fuzzer};
 
 fn main() {
     let budget = pdf_eval::budget_from_args(20_000);
-    let seed = budget.seeds.first().copied().unwrap_or(1);
+    let seed = budget.seeds[0];
     let modes: Vec<ExecMode> = if std::env::args().any(|a| a == "--exec-mode") {
         vec![pdf_eval::require_arg(pdf_eval::exec_mode_from_args())]
     } else {
-        vec![ExecMode::Full, ExecMode::Fast, ExecMode::Tiered]
+        vec![ExecMode::Full, ExecMode::Tiered]
     };
     let subjects: Vec<pdf_subjects::SubjectInfo> = match std::env::args()
         .skip(1)
@@ -80,7 +80,6 @@ fn main() {
 fn mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Full => "full",
-        ExecMode::Fast => "fast",
         ExecMode::Tiered => "tiered",
     }
 }

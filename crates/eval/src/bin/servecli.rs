@@ -3,7 +3,7 @@
 //!
 //! Commands:
 //!   submit --subject NAME [--seed N] [--execs N] [--shards N]
-//!          [--sync-every N] [--exec-mode full|fast|tiered]
+//!          [--sync-every N] [--exec-mode full|tiered]
 //!          [--deadline-ms N] [--key TOKEN] [--wait]
 //!                       submit one campaign; prints its id (with
 //!                       `--wait`, blocks streaming progress until the

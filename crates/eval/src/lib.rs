@@ -44,9 +44,9 @@ pub use experiments::{
 };
 pub use progress::ProgressTicker;
 pub use render::{
-    fig2_csv, fig3_csv, headline_csv, render_dict_study, render_discovery, render_fig2,
-    render_fig3, render_grammar_mine, render_grammar_study, render_headline,
-    render_mined_inventory, render_supervision, render_table1, render_token_table,
+    render_dict_study, render_discovery, render_fig2, render_fig3, render_grammar_mine,
+    render_grammar_study, render_headline, render_mined_inventory, render_supervision,
+    render_table1, render_token_table,
 };
 pub use replay::{
     cell_config_hash, journal_of, record_cells, replay_journal, CellDiff, ReplayReport,
@@ -59,44 +59,55 @@ pub use runner::{
     SupervisorConfig, Tool, FLEET_SHARDS,
 };
 
-/// Parses `--execs N`, `--seeds a,b,c` and `--afl-mult N` from the
-/// command line,
-/// falling back to the given defaults. Used by the experiment binaries.
-pub fn budget_from_args(default_execs: u64) -> EvalBudget {
-    let mut budget = EvalBudget {
-        execs: default_execs,
-        ..EvalBudget::default()
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--execs" if i + 1 < args.len() => {
-                if let Ok(n) = args[i + 1].parse() {
-                    budget.execs = n;
-                }
-                i += 2;
-            }
-            "--afl-mult" if i + 1 < args.len() => {
-                if let Ok(n) = args[i + 1].parse() {
-                    budget.afl_throughput = n;
-                }
-                i += 2;
-            }
-            "--seeds" if i + 1 < args.len() => {
-                let seeds: Vec<u64> = args[i + 1]
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect();
-                if !seeds.is_empty() {
-                    budget.seeds = seeds;
-                }
-                i += 2;
-            }
-            _ => i += 1,
-        }
+/// The value following `flag` in `args`, if the flag is present.
+///
+/// # Errors
+///
+/// A message naming the flag when it is the last argument.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().skip(1).position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 2)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{flag} requires a value")),
     }
-    budget
+}
+
+/// Parses `--execs N`, `--seeds a,b,c` and `--afl-mult N` from `args`,
+/// falling back to `default_execs` and the [`EvalBudget`] defaults for
+/// absent flags. A present flag must carry a well-formed value: a typo
+/// such as `--execs 3O000` silently running the default budget would
+/// invalidate the experiment.
+///
+/// # Errors
+///
+/// A message naming the flag when `--execs` or `--afl-mult` is
+/// missing, malformed or zero, or when `--seeds` holds anything but
+/// comma-separated integers.
+fn budget_in(args: &[String], default_execs: u64) -> Result<EvalBudget, String> {
+    let defaults = EvalBudget::default();
+    let seeds = match flag_value(args, "--seeds")? {
+        None => defaults.seeds,
+        Some(raw) => raw
+            .split(',')
+            .map(|s| s.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("--seeds expects comma-separated integers, got {raw:?}"))?,
+    };
+    Ok(EvalBudget {
+        execs: positive_arg_in(args, "--execs", default_execs)?,
+        seeds,
+        afl_throughput: positive_arg_in(args, "--afl-mult", defaults.afl_throughput)?,
+    })
+}
+
+/// Parses the evaluation budget from the command line — see
+/// [`budget_in`] — exiting with status 2 on a bad value. Used by the
+/// experiment binaries.
+pub fn budget_from_args(default_execs: u64) -> EvalBudget {
+    let args: Vec<String> = std::env::args().collect();
+    require_arg(budget_in(&args, default_execs))
 }
 
 /// Parses a positive-integer `--flag N` argument from `args`: the flag
@@ -105,7 +116,7 @@ pub fn budget_from_args(default_execs: u64) -> EvalBudget {
 /// silently degenerate (a serial "parallel" run, an empty fleet), so
 /// they are rejected with a clear error instead of being clamped.
 ///
-/// The shared parsing core behind [`jobs_from_args`],
+/// The shared parsing core behind [`budget_from_args`], [`jobs_from_args`],
 /// [`shards_from_args`] and [`sync_every_from_args`]; exposed so every
 /// binary rejects bad counts with the same wording.
 ///
@@ -114,21 +125,16 @@ pub fn budget_from_args(default_execs: u64) -> EvalBudget {
 /// A human-readable message naming the flag when its value is missing,
 /// malformed or zero.
 pub fn positive_arg_in(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    for i in 1..args.len() {
-        if args[i] == flag {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a value"))?;
-            let n: u64 = raw
-                .parse()
-                .map_err(|_| format!("{flag} expects a positive integer, got {raw:?}"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be at least 1 (got 0)"));
-            }
-            return Ok(n);
-        }
+    let Some(raw) = flag_value(args, flag)? else {
+        return Ok(default);
+    };
+    let n: u64 = raw
+        .parse()
+        .map_err(|_| format!("{flag} expects a positive integer, got {raw:?}"))?;
+    if n == 0 {
+        return Err(format!("{flag} must be at least 1 (got 0)"));
     }
-    Ok(default)
+    Ok(n)
 }
 
 /// Parses `--jobs N` from the command line: worker threads for the
@@ -167,14 +173,14 @@ pub fn sync_every_from_args(default: u64) -> Result<u64, String> {
     positive_arg_in(&args, "--sync-every", default)
 }
 
-/// Parses `--exec-mode full|fast|tiered` from `args`: the
-/// instrumentation tiering the pFuzzer campaigns run under
-/// ([`pdf_core::ExecMode`]). The flag is optional (absent →
+/// Parses `--exec-mode full|tiered` from `args`: the instrumentation
+/// tiering the pFuzzer campaigns run under ([`pdf_core::ExecMode`]).
+/// The flag is optional (absent →
 /// [`ExecMode::Full`](pdf_core::ExecMode::Full), the byte-identical
-/// replay mode), but a present flag must carry one of the three mode
+/// replay mode), but a present flag must carry one of the two mode
 /// names — a typo silently falling back to full would invalidate a
 /// throughput experiment. Mode names are matched case-insensitively
-/// (`FULL`, `Tiered` and `fast` all work), so scripts that upcase
+/// (`FULL` and `Tiered` both work), so scripts that upcase
 /// configuration values are not rejected.
 ///
 /// # Errors
@@ -182,25 +188,19 @@ pub fn sync_every_from_args(default: u64) -> Result<u64, String> {
 /// A human-readable message naming the flag and listing the valid
 /// modes when its value is missing or unknown.
 pub fn exec_mode_in(args: &[String]) -> Result<pdf_core::ExecMode, String> {
-    for i in 1..args.len() {
-        if args[i] == "--exec-mode" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "--exec-mode requires a value".to_string())?;
-            return match raw.to_ascii_lowercase().as_str() {
-                "full" => Ok(pdf_core::ExecMode::Full),
-                "fast" => Ok(pdf_core::ExecMode::Fast),
-                "tiered" => Ok(pdf_core::ExecMode::Tiered),
-                _ => Err(format!(
-                    "--exec-mode expects one of full, fast, tiered (case-insensitive), got {raw:?}"
-                )),
-            };
-        }
+    let Some(raw) = flag_value(args, "--exec-mode")? else {
+        return Ok(pdf_core::ExecMode::Full);
+    };
+    match raw.to_ascii_lowercase().as_str() {
+        "full" => Ok(pdf_core::ExecMode::Full),
+        "tiered" => Ok(pdf_core::ExecMode::Tiered),
+        _ => Err(format!(
+            "--exec-mode expects one of full, tiered (case-insensitive), got {raw:?}"
+        )),
     }
-    Ok(pdf_core::ExecMode::Full)
 }
 
-/// Parses `--exec-mode full|fast|tiered` from the command line — see
+/// Parses `--exec-mode full|tiered` from the command line — see
 /// [`exec_mode_in`]. Used by `evalrunner` and `fleetrunner`.
 ///
 /// # Errors
@@ -244,20 +244,28 @@ pub fn replay_path_from_args() -> Option<std::path::PathBuf> {
     path_arg("--replay")
 }
 
-/// Parses `--max-retries N` from the command line: the supervisor's
-/// retry budget for crashed or fuel-hung cells. Defaults to
-/// [`SupervisorConfig::default`].
-pub fn supervisor_from_args() -> SupervisorConfig {
-    let mut sup = SupervisorConfig::default();
-    let args: Vec<String> = std::env::args().collect();
-    for i in 1..args.len() {
-        if args[i] == "--max-retries" {
-            if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                sup.max_retries = n;
-            }
-        }
+/// Parses `--max-retries N` from `args`: the supervisor's retry budget
+/// for crashed or fuel-hung cells. Defaults to
+/// [`SupervisorConfig::default`]; zero is legal and disables retries.
+///
+/// # Errors
+///
+/// A message naming the flag when its value is missing or malformed.
+fn supervisor_in(args: &[String]) -> Result<SupervisorConfig, String> {
+    match flag_value(args, "--max-retries")? {
+        None => Ok(SupervisorConfig::default()),
+        Some(raw) => raw
+            .parse()
+            .map(|max_retries| SupervisorConfig { max_retries })
+            .map_err(|_| format!("--max-retries expects a non-negative integer, got {raw:?}")),
     }
-    sup
+}
+
+/// Parses `--max-retries N` from the command line — see
+/// [`supervisor_in`] — exiting with status 2 on a bad value.
+pub fn supervisor_from_args() -> SupervisorConfig {
+    let args: Vec<String> = std::env::args().collect();
+    require_arg(supervisor_in(&args))
 }
 
 /// Parses `--chaos SEED` from the command line: when present, the
@@ -405,7 +413,7 @@ pub fn stats_json_line(o: &Outcome) -> String {
 
 #[cfg(test)]
 mod cli_tests {
-    use super::{exec_mode_in, positive_arg_in};
+    use super::{budget_in, exec_mode_in, positive_arg_in, supervisor_in};
     use pdf_core::ExecMode;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -450,16 +458,12 @@ mod cli_tests {
     }
 
     #[test]
-    fn exec_mode_defaults_to_full_and_parses_all_three() {
+    fn exec_mode_defaults_to_full_and_parses_both() {
         assert_eq!(exec_mode_in(&args(&[])), Ok(ExecMode::Full));
         assert_eq!(exec_mode_in(&args(&["--execs", "100"])), Ok(ExecMode::Full));
         assert_eq!(
             exec_mode_in(&args(&["--exec-mode", "full"])),
             Ok(ExecMode::Full)
-        );
-        assert_eq!(
-            exec_mode_in(&args(&["--exec-mode", "fast"])),
-            Ok(ExecMode::Fast)
         );
         assert_eq!(
             exec_mode_in(&args(&["--jobs", "2", "--exec-mode", "tiered"])),
@@ -475,10 +479,22 @@ mod cli_tests {
             "error must name the flag: {err}"
         );
         assert!(err.contains("turbo"), "error must quote the value: {err}");
-        for mode in ["full", "fast", "tiered"] {
-            assert!(err.contains(mode), "error must list {mode}: {err}");
-        }
+        assert!(
+            err.contains("full, tiered"),
+            "error must list the modes: {err}"
+        );
         assert!(exec_mode_in(&args(&["--exec-mode"])).is_err());
+    }
+
+    #[test]
+    fn exec_mode_rejects_the_retired_fast_mode() {
+        for raw in ["fast", "Fast"] {
+            let err = exec_mode_in(&args(&["--exec-mode", raw])).unwrap_err();
+            assert!(
+                err.contains("full, tiered"),
+                "error must list the modes: {err}"
+            );
+        }
     }
 
     #[test]
@@ -488,12 +504,56 @@ mod cli_tests {
             Ok(ExecMode::Full)
         );
         assert_eq!(
-            exec_mode_in(&args(&["--exec-mode", "Fast"])),
-            Ok(ExecMode::Fast)
-        );
-        assert_eq!(
             exec_mode_in(&args(&["--exec-mode", "TiErEd"])),
             Ok(ExecMode::Tiered)
         );
+    }
+
+    #[test]
+    fn budget_parses_every_flag_and_defaults_the_rest() {
+        let b = budget_in(&args(&[]), 500).unwrap();
+        assert_eq!(
+            (b.execs, b.seeds, b.afl_throughput),
+            (500, vec![1, 2, 3], 10)
+        );
+        let b = budget_in(
+            &args(&["--execs", "300", "--seeds", "4, 5", "--afl-mult", "2"]),
+            500,
+        )
+        .unwrap();
+        assert_eq!((b.execs, b.seeds, b.afl_throughput), (300, vec![4, 5], 2));
+    }
+
+    #[test]
+    fn budget_rejects_malformed_and_zero_values() {
+        for (flag, raw) in [
+            ("--execs", "3O000"),
+            ("--execs", "0"),
+            ("--afl-mult", "0"),
+            ("--afl-mult", "x"),
+            ("--seeds", "1,x"),
+            ("--seeds", ""),
+        ] {
+            let err = budget_in(&args(&[flag, raw]), 500).unwrap_err();
+            assert!(err.contains(flag), "error must name {flag}: {err}");
+        }
+        assert!(budget_in(&args(&["--execs"]), 500).is_err());
+    }
+
+    #[test]
+    fn max_retries_accepts_zero_and_rejects_garbage() {
+        assert_eq!(supervisor_in(&args(&[])).unwrap().max_retries, 2);
+        assert_eq!(
+            supervisor_in(&args(&["--max-retries", "0"]))
+                .unwrap()
+                .max_retries,
+            0
+        );
+        let err = supervisor_in(&args(&["--max-retries", "two"])).unwrap_err();
+        assert!(
+            err.contains("--max-retries"),
+            "error must name the flag: {err}"
+        );
+        assert!(supervisor_in(&args(&["--max-retries"])).is_err());
     }
 }

@@ -169,50 +169,6 @@ pub fn render_supervision(outcomes: &[CellOutcome]) -> String {
     out
 }
 
-/// Renders Figure 2 as CSV (`subject,afl,klee,pfuzzer`).
-pub fn fig2_csv(rows: &[Fig2Row]) -> String {
-    let mut out = String::from("subject,afl,klee,pfuzzer\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{},{:.2},{:.2},{:.2}\n",
-            row.subject, row.coverage[0], row.coverage[1], row.coverage[2]
-        ));
-    }
-    out
-}
-
-/// Renders Figure 3 as CSV (`subject,tool,length,found,total`).
-pub fn fig3_csv(cells: &[Fig3Cell]) -> String {
-    let mut out = String::from("subject,tool,length,found,total\n");
-    for cell in cells {
-        for (length, found, total) in &cell.by_length {
-            out.push_str(&format!(
-                "{},{},{length},{found},{total}\n",
-                cell.subject,
-                cell.tool.name()
-            ));
-        }
-    }
-    out
-}
-
-/// Renders the headline aggregates as CSV
-/// (`tool,short_found,short_total,long_found,long_total`).
-pub fn headline_csv(rows: &[HeadlineRow]) -> String {
-    let mut out = String::from("tool,short_found,short_total,long_found,long_total\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{}\n",
-            row.tool.name(),
-            row.short.0,
-            row.short.1,
-            row.long.0,
-            row.long.1
-        ));
-    }
-    out
-}
-
 /// Renders the token-discovery measurement: executions needed per
 /// keyword token (length > 1), per subject and tool. `-` = not found.
 pub fn render_discovery(rows: &[DiscoveryRow]) -> String {
@@ -446,35 +402,6 @@ mod tests {
         assert!(text.contains("true"));
         assert!(text.contains("123"));
         assert!(text.contains('-'));
-    }
-
-    #[test]
-    fn csv_exports_are_well_formed() {
-        let fig2 = vec![Fig2Row {
-            subject: "ini",
-            coverage: [50.0, 25.0, 75.0],
-        }];
-        let csv = fig2_csv(&fig2);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("subject,"));
-        assert!(csv.contains("ini,50.00,25.00,75.00"));
-
-        let fig3 = vec![Fig3Cell {
-            subject: "cjson",
-            tool: Tool::Afl,
-            by_length: vec![(1, 5, 8)],
-            found: vec![],
-        }];
-        let csv = fig3_csv(&fig3);
-        assert!(csv.contains("cjson,AFL,1,5,8"));
-
-        let headline = vec![HeadlineRow {
-            tool: Tool::Klee,
-            short: (3, 9),
-            long: (1, 4),
-        }];
-        let csv = headline_csv(&headline);
-        assert!(csv.contains("KLEE,3,9,1,4"));
     }
 
     #[test]

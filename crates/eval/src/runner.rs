@@ -1013,27 +1013,26 @@ mod tests {
         let full = run_tool_seeded(Tool::PFuzzer, &info, 400, 1);
         let explicit = run_tool_seeded_in(Tool::PFuzzer, &info, 400, 1, ExecMode::Full);
         assert_eq!(outcome_digest(&full), outcome_digest(&explicit));
-        for mode in [ExecMode::Fast, ExecMode::Tiered] {
-            for tool in [Tool::PFuzzer, Tool::PFuzzerFleet] {
-                let a = run_tool_seeded_in(tool, &info, 2_000, 3, mode);
-                let b = run_tool_seeded_in(tool, &info, 2_000, 3, mode);
-                assert_eq!(
-                    outcome_digest(&a),
-                    outcome_digest(&b),
-                    "{} in {mode:?} not deterministic",
-                    tool.name()
-                );
-                assert!(
-                    !a.valid_inputs.is_empty(),
-                    "{} in {mode:?} found nothing",
-                    tool.name()
-                );
-            }
-            // AFL has no tiers: the mode changes nothing
-            let afl = run_tool_seeded_in(Tool::Afl, &info, 400, 1, mode);
-            let afl_full = run_tool_seeded(Tool::Afl, &info, 400, 1);
-            assert_eq!(outcome_digest(&afl), outcome_digest(&afl_full));
+        let mode = ExecMode::Tiered;
+        for tool in [Tool::PFuzzer, Tool::PFuzzerFleet] {
+            let a = run_tool_seeded_in(tool, &info, 2_000, 3, mode);
+            let b = run_tool_seeded_in(tool, &info, 2_000, 3, mode);
+            assert_eq!(
+                outcome_digest(&a),
+                outcome_digest(&b),
+                "{} in {mode:?} not deterministic",
+                tool.name()
+            );
+            assert!(
+                !a.valid_inputs.is_empty(),
+                "{} in {mode:?} found nothing",
+                tool.name()
+            );
         }
+        // AFL has no tiers: the mode changes nothing
+        let afl = run_tool_seeded_in(Tool::Afl, &info, 400, 1, mode);
+        let afl_full = run_tool_seeded(Tool::Afl, &info, 400, 1);
+        assert_eq!(outcome_digest(&afl), outcome_digest(&afl_full));
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl Fleet {
             self.seen_valid[s] = inputs.len();
             merged.union_with(sp.valid_branches());
         }
-        // In the tiered exec modes, shards learn validity from escalated
+        // In the tiered exec mode, shards learn validity from escalated
         // runs; batch-confirm the epoch's promotions through one
         // amortized fast-failure pass before they fan out to every other
         // shard's queue. RNG-free and deterministic (subjects are pure),

@@ -67,8 +67,8 @@ pub struct MetricsRegistry {
     /// Times the driver restarted from a fresh random byte because the
     /// queue ran dry.
     pub restarts: Counter,
-    /// Executions that ran under the fast-failure tier (fast and tiered
-    /// exec modes).
+    /// Executions that ran under the fast-failure tier (tiered exec
+    /// mode).
     pub tier_fast_execs: Counter,
     /// Fast-tier executions escalated to full instrumentation by the
     /// tier filter.

@@ -1203,4 +1203,24 @@ mod tests {
         assert_eq!(back, c.status());
         assert!(decode_meta("wrong header\n").is_err());
     }
+
+    #[test]
+    fn meta_with_retired_fast_mode_is_quarantined() {
+        let fast_meta = encode_meta(&Campaign::fresh(1, small_spec("arith", 4)).status())
+            .replace(" mode=full ", " mode=fast ");
+        assert!(fast_meta.contains(" mode=fast "));
+        assert!(decode_meta(&fast_meta).is_err());
+
+        let dir = tmpdir("fast-meta");
+        let meta = campaign_dir(&dir, 1).join("meta");
+        std::fs::create_dir_all(meta.parent().unwrap()).unwrap();
+        std::fs::write(&meta, &fast_meta).unwrap();
+        let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        assert_eq!(daemon.status(1), None);
+        assert_eq!(daemon.registry().serve_checkpoint_quarantined.get(), 1);
+        daemon.shutdown();
+        assert!(!meta.exists());
+        assert!(crate::journal::append_suffix(&meta, ".quarantine").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -283,21 +283,20 @@ pub fn is_token(s: &str) -> bool {
 fn mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Full => "full",
-        ExecMode::Fast => "fast",
         ExecMode::Tiered => "tiered",
     }
 }
 
-/// Parses an execution-mode name, case-insensitively (`full`, `FAST`,
+/// Parses an execution-mode name, case-insensitively (`full`, `FULL`,
 /// `Tiered` all work — the wire analog of `evalrunner --exec-mode`).
+/// The retired `fast` mode is rejected like any unknown name.
 pub fn parse_mode(s: &str) -> Result<ExecMode, WireError> {
     match s.to_ascii_lowercase().as_str() {
         "full" => Ok(ExecMode::Full),
-        "fast" => Ok(ExecMode::Fast),
         "tiered" => Ok(ExecMode::Tiered),
         _ => Err(WireError::BadValue {
             key: "mode".into(),
-            reason: format!("expected one of full, fast, tiered; got {s:?}"),
+            reason: format!("expected one of full, tiered; got {s:?}"),
         }),
     }
 }
@@ -808,6 +807,17 @@ mod tests {
             Request::decode("submit subject=a seed=1 execs=10 mode=warp"),
             Err(WireError::BadValue { .. })
         ));
+    }
+
+    #[test]
+    fn retired_fast_mode_is_rejected() {
+        for raw in ["fast", "FAST"] {
+            let req = Request::decode(&format!("submit subject=a seed=1 execs=10 mode={raw}"));
+            assert!(
+                matches!(&req, Err(WireError::BadValue { key, .. }) if key == "mode"),
+                "mode={raw} gave {req:?}"
+            );
+        }
     }
 
     #[test]

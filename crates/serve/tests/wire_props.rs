@@ -25,7 +25,6 @@ fn token() -> impl Strategy<Value = String> {
 fn exec_mode() -> BoxedStrategy<pdf_core::ExecMode> {
     prop_oneof![
         Just(pdf_core::ExecMode::Full),
-        Just(pdf_core::ExecMode::Fast),
         Just(pdf_core::ExecMode::Tiered),
     ]
 }
