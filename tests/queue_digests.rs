@@ -6,10 +6,14 @@
 //! [`FuzzReport::digest`](parser_directed_fuzzing::pfuzzer::FuzzReport::digest).
 //! The values were produced by the queue that scored each candidate
 //! individually; a layout change that keeps the pop order keeps them.
+//! The tiered pins and the trace pin also hold the execution tiers and
+//! the per-run summaries to the campaigns they produced before: a change
+//! to which sink runs an input, or to which summary fields a run builds,
+//! must leave every one of them unchanged.
 
 use parser_directed_fuzzing::fleet::{Fleet, FleetConfig};
 use parser_directed_fuzzing::pfuzzer::{DriverConfig, ExecMode, Fuzzer, SearchMode};
-use parser_directed_fuzzing::runtime::Subject;
+use parser_directed_fuzzing::runtime::{Digest, Subject};
 use parser_directed_fuzzing::subjects;
 
 fn digest(subject: Subject, cfg: DriverConfig) -> String {
@@ -55,6 +59,53 @@ fn tiered_campaign() {
         ..full(2, 20_000)
     };
     assert_eq!(digest(subjects::mjs::subject(), cfg), "2457f012357ab017");
+}
+
+#[test]
+fn other_subjects_tiered_campaigns() {
+    let tiered = || DriverConfig {
+        exec_mode: ExecMode::Tiered,
+        ..full(1, 20_000)
+    };
+    let got = [
+        digest(subjects::ini::subject(), tiered()),
+        digest(subjects::csv::subject(), tiered()),
+        digest(subjects::json::subject(), tiered()),
+        digest(subjects::tinyc::subject(), tiered()),
+    ];
+    assert_eq!(
+        got,
+        [
+            "8a5a0dffccdebe3d",
+            "71cdb5a1233ae9db",
+            "e2d58f26fc944bbe",
+            "9c034a66e4be15f6"
+        ]
+    );
+}
+
+/// The report digest leaves the trace out, so the trace is pinned on its
+/// own: every step's input, verdict, EOF flag, candidate count and action.
+#[test]
+fn traced_mjs_campaign() {
+    let cfg = DriverConfig {
+        trace: true,
+        ..full(1, 20_000)
+    };
+    let report = Fuzzer::new(subjects::mjs::subject(), cfg).run();
+    let mut d = Digest::new();
+    d.write_u64(report.trace.len() as u64);
+    for step in &report.trace {
+        d.write_bytes(&step.input);
+        d.write_u8(step.valid as u8);
+        d.write_u8(step.eof as u8);
+        d.write_u64(step.candidates as u64);
+        d.write_str(&step.action);
+    }
+    assert_eq!(
+        (report.trace.len(), format!("{:016x}", d.finish())),
+        (20_000, "4f7f487b812278b9".to_string())
+    );
 }
 
 #[test]
