@@ -94,26 +94,28 @@ pub enum ExtensionMode {
     AppendOnly,
 }
 
-/// How much instrumentation each candidate execution carries.
+/// How much of each candidate execution the driver learns from.
 ///
 /// `Full` is the paper's behaviour: every execution produces a complete
 /// [`FailureSummary`](pdf_runtime::FailureSummary) (branch sets, path
-/// hash, substitution candidates). `Tiered` runs every candidate under
-/// the near-zero-cost [`FastFailure`](pdf_runtime::FastFailure) sink
-/// first and applies the fast-failure filter of *Fuzzing with Fast
-/// Failure Feedback*: valid inputs always escalate to full
-/// instrumentation, and a rejected candidate escalates only when its
-/// rejection index advanced past the campaign's watermark or its last
-/// comparison is one the campaign has not seen before — everything else
-/// is discarded without paying for full instrumentation.
+/// hash, substitution candidates). `Tiered` applies the fast-failure
+/// filter of *Fuzzing with Fast Failure Feedback* to the
+/// [`FastSummary`](pdf_runtime::FastSummary) of each run: valid inputs
+/// always escalate to the full summary, and a rejected candidate
+/// escalates only when its rejection index advanced past the campaign's
+/// watermark or its last comparison is one the campaign has not seen
+/// before — everything else is learned from the fast summary alone.
+/// Each input runs once, under full instrumentation; the budget is
+/// charged as if a fast run came first and each escalation re-ran the
+/// input (two executions per escalated run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Full instrumentation on every execution (the default; campaign
     /// digests and journals are byte-identical to earlier releases).
     #[default]
     Full,
-    /// Two-tier schedule: fast-failure first, escalate survivors of the
-    /// rejection-index / last-comparison filter.
+    /// Two-tier schedule: fast-failure filter first, full summaries for
+    /// the survivors of the rejection-index / last-comparison filter.
     Tiered,
 }
 

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use pdf_runtime::{
     digest_bytes, BranchSet, Candidate, CmpValue, Digest, ExecArena, FailureExecution,
-    FailureSummary, FastExecution, PhaseClock, Rng, RunStats, Subject,
+    FailureSummary, FastExecution, PhaseClock, Rng, RunStats, Subject, Verdict,
 };
 
 use crate::budget::{CampaignBudget, StopReason, DEADLINE_CHECK_INTERVAL};
@@ -243,16 +243,16 @@ impl SyncPoint<'_> {
 }
 
 /// Lifts a fast-tier result into the [`FailureExecution`] shape the
-/// rest of the driver consumes. Branch sets stay empty (the fast sink
-/// records none) and the path hash falls back to the last-comparison
+/// rest of the driver consumes. Branch sets stay empty (the fast tier
+/// learns none) and the path hash falls back to the last-comparison
 /// fingerprint, so path-seen decay still distinguishes executions that
 /// died at different comparisons. Substitution candidates are expanded
-/// from the one failed comparison the fast sink kept — the *Fast
+/// from the one failed comparison the fast summary keeps — the *Fast
 /// Failure Feedback* reduction of
 /// [`ExecLog::substitution_candidates`](pdf_runtime::ExecLog::substitution_candidates),
 /// which sees every comparison at the rejection index, not just the
 /// last.
-fn synthesize_failure(fast: &FastExecution) -> FailureExecution {
+fn synthesize_failure(fast: FastExecution) -> FailureExecution {
     let f = &fast.fast;
     let mut candidates = Vec::new();
     if let (Some(idx), Some(expected)) = (f.rejection_index, &f.last_failed) {
@@ -280,8 +280,6 @@ fn synthesize_failure(fast: &FastExecution) -> FailureExecution {
     };
     FailureExecution {
         valid: fast.valid,
-        error: fast.error(),
-        verdict: fast.verdict.clone(),
         failure: FailureSummary {
             branches: BranchSet::new(),
             branches_up_to_rejection: BranchSet::new(),
@@ -295,17 +293,19 @@ fn synthesize_failure(fast: &FastExecution) -> FailureExecution {
             events: f.events,
             last_cmp_fingerprint: f.last_cmp_fingerprint,
         },
+        verdict: fast.verdict,
     }
 }
 
-/// The escalation filter of [`ExecMode::Tiered`]: a rejected fast-tier
-/// run pays for full instrumentation only when it pushed the rejection
-/// watermark forward or ended on a comparison the campaign has not
-/// escalated before (*Fuzzing with Fast Failure Feedback*: rejection
-/// index and last comparison carry the actionable signal). Both fields
-/// are deterministic functions of the executions seen so far, so the
-/// filter checkpoints and resumes byte-identically (`BTreeSet` keeps
-/// the serialized fingerprints canonically ordered).
+/// The escalation filter of [`ExecMode::Tiered`]: a rejected run gets
+/// its full summary (and the charge of a fully instrumented re-run)
+/// only when it pushed the rejection watermark forward or ended on a
+/// comparison the campaign has not escalated before (*Fuzzing with
+/// Fast Failure Feedback*: rejection index and last comparison carry
+/// the actionable signal). Both fields are deterministic functions of
+/// the executions seen so far, so the filter checkpoints and resumes
+/// byte-identically (`BTreeSet` keeps the serialized fingerprints
+/// canonically ordered).
 #[derive(Debug, Default)]
 struct TierState {
     /// Highest rejection index any escalated run reached.
@@ -590,8 +590,12 @@ impl Fuzzer {
             let accepted = if use_cache && st.known_invalid.contains(&st.current) {
                 false
             } else {
+                // A first run's substitutions are read only when it is
+                // accepted (or traced), so a rejected one builds a lean
+                // summary.
+                let lean = !self.cfg.trace;
                 let exec = clock.time("execute", || {
-                    self.execute(&mut st.report, &mut st.tier, &st.current)
+                    self.execute(&mut st.report, &mut st.tier, &st.current, lean)
                 });
                 self.mine_tokens_from(&mut st.mined, &exec);
                 if !exec.valid {
@@ -624,7 +628,7 @@ impl Fuzzer {
                 extended.push(self.next_byte());
                 pdf_obs::record(|m| m.appends.inc());
                 let exec2 = clock.time("execute", || {
-                    self.execute(&mut st.report, &mut st.tier, &extended)
+                    self.execute(&mut st.report, &mut st.tier, &extended, false)
                 });
                 self.mine_tokens_from(&mut st.mined, &exec2);
                 let accepted2 = self.run_check(
@@ -954,86 +958,89 @@ impl Fuzzer {
         Self::resume_from_checkpoint(subject, cfg, &ck)
     }
 
-    /// Executes one candidate under the configured [`ExecMode`].
+    /// Executes one candidate under the configured [`ExecMode`]. Every
+    /// input runs once, under the full last-failure sink; the modes
+    /// differ in what they build from that run and charge for it.
     ///
-    /// `Full` runs full instrumentation directly — byte-identical
-    /// campaigns (journal encodings, replay digests) to releases that
-    /// predate tiering. `Tiered` runs the candidate under the
-    /// near-zero-cost fast-failure sink first and only *escalates* to a
-    /// second, fully instrumented run when the cheap result warrants it;
-    /// everything else returns a summary synthesized from the fast
-    /// signal alone (no branch sets — coverage is only ever learned from
-    /// escalated runs). Escalation costs a second execution, charged to
-    /// the same budget. No mode draws RNG bytes here, so each mode is
-    /// deterministic per seed.
+    /// `Full` returns the full summary and charges one execution —
+    /// byte-identical campaigns (journal encodings, replay digests) to
+    /// releases that predate tiering. `Tiered` derives the fast-tier
+    /// summary from the same run and applies the escalation filter to
+    /// it. An escalated run returns the full summary and is charged as
+    /// the fast run plus the fully instrumented re-run it stands for
+    /// (two executions, their events, hangs and crashes); a skipped run
+    /// returns a summary synthesized from the fast signal alone (no
+    /// branch sets — coverage is only ever learned from escalated runs)
+    /// and is charged one execution. A tiered campaign therefore spends
+    /// its budget exactly as one that ran the fast sink first and
+    /// re-ran escalated inputs.
+    ///
+    /// `lean` asks for a lean summary (see
+    /// [`FailureSummary`](pdf_runtime::FailureSummary)) when the run is
+    /// not accepted; the caller sets it only where such a run's
+    /// substitutions are never read. No mode draws RNG bytes here, so
+    /// each mode is deterministic per seed.
     fn execute(
         &mut self,
         report: &mut FuzzReport,
         tier: &mut TierState,
         input: &[u8],
+        lean: bool,
     ) -> FailureExecution {
-        match self.cfg.exec_mode {
-            ExecMode::Full => self.execute_full(report, input),
+        let _span = pdf_obs::span("driver.exec");
+        let run = self.subject.failure_run(&mut self.arena, input);
+        let charged = match self.cfg.exec_mode {
+            ExecMode::Full => 1,
             ExecMode::Tiered => {
-                let fast = self.execute_fast(report, input);
-                let f = &fast.fast;
-                let escalate = fast.valid
+                pdf_obs::record(|m| m.tier_fast_execs.inc());
+                let f = run.fast_summary();
+                let escalate = run.verdict().is_accept()
                     || f.eof_access.is_some()
                     || f.rejection_index.is_none()
                     || f.rejection_index > tier.max_rejection
                     || !tier.seen_fingerprints.contains(&f.last_cmp_fingerprint);
-                if escalate {
-                    if f.rejection_index > tier.max_rejection {
-                        tier.max_rejection = f.rejection_index;
-                    }
-                    tier.seen_fingerprints.insert(f.last_cmp_fingerprint);
-                    pdf_obs::record(|m| m.tier_escalations.inc());
-                    self.execute_full(report, input)
-                } else {
+                if !escalate {
                     // The fast signal still yields its one-comparison
                     // candidate set for free; the filter only decides
-                    // whether to pay for the fully instrumented re-run
-                    // (complete candidates, real branch coverage).
+                    // whether to pay for the full summary (complete
+                    // candidates, real branch coverage).
                     pdf_obs::record(|m| m.tier_skips.inc());
-                    synthesize_failure(&fast)
+                    let verdict = run.into_verdict();
+                    Self::charge(report, &verdict, f.events, 1);
+                    return synthesize_failure(FastExecution {
+                        valid: verdict.is_accept(),
+                        verdict,
+                        fast: f,
+                    });
                 }
+                if f.rejection_index > tier.max_rejection {
+                    tier.max_rejection = f.rejection_index;
+                }
+                tier.seen_fingerprints.insert(f.last_cmp_fingerprint);
+                pdf_obs::record(|m| m.tier_escalations.inc());
+                2
             }
-        }
-    }
-
-    /// One fast-tier execution: fast-failure sink through the arena,
-    /// charged to the budget and accounted like any other run.
-    fn execute_fast(&mut self, report: &mut FuzzReport, input: &[u8]) -> FastExecution {
-        let _span = pdf_obs::span("driver.exec");
-        report.execs += 1;
-        let exec = self.subject.run_fast_failure_arena(&mut self.arena, input);
-        if exec.verdict.is_hang() {
-            report.stats.hangs += 1;
-        }
-        if exec.verdict.is_crash() {
-            report.stats.crashes += 1;
-        }
-        report.stats.events += exec.fast.events;
-        pdf_obs::record(|m| m.tier_fast_execs.inc());
-        exec
-    }
-
-    /// One fully instrumented execution (the pre-tiering hot path).
-    /// Subjects without a native last-failure entry point take the
-    /// full-log reduction inside the runner.
-    fn execute_full(&mut self, report: &mut FuzzReport, input: &[u8]) -> FailureExecution {
-        let _span = pdf_obs::span("driver.exec");
-        report.execs += 1;
-        let exec = self.subject.run_last_failure_arena(&mut self.arena, input);
-        if exec.verdict.is_hang() {
-            report.stats.hangs += 1;
-        }
-        if exec.verdict.is_crash() {
-            report.stats.crashes += 1;
-        }
-        report.stats.events += exec.failure.events;
+        };
+        let exec = if lean && !run.verdict().is_accept() {
+            run.finish_lean()
+        } else {
+            run.finish()
+        };
+        Self::charge(report, &exec.verdict, exec.failure.events, charged);
         report.all_branches.union_with(&exec.failure.branches);
         exec
+    }
+
+    /// Charges `n` executions of one run to the budget and the stats.
+    fn charge(report: &mut FuzzReport, verdict: &Verdict, events: u64, n: u64) {
+        report.execs += n;
+        if verdict.is_hang() {
+            report.stats.hangs += n;
+        }
+        if verdict.is_crash() {
+            report.stats.crashes += n;
+        }
+        report.stats.events += events * n;
     }
 
     /// Feeds one execution's expected tokens into the campaign's mining
@@ -1799,6 +1806,48 @@ mod tests {
             report.execs
         );
         assert!(reg.snapshot().check_identities().is_ok());
+    }
+
+    #[test]
+    fn tiered_mode_runs_each_input_once() {
+        // the subject runs once per charged fast execution; escalations
+        // are charged without a second run
+        let reg = std::sync::Arc::new(pdf_obs::MetricsRegistry::new());
+        let _scope = pdf_obs::install(std::sync::Arc::clone(&reg));
+        let cfg = DriverConfig {
+            seed: 2,
+            max_execs: 1_000,
+            exec_mode: ExecMode::Tiered,
+            ..DriverConfig::default()
+        };
+        let report = Fuzzer::new(pdf_subjects::arith::subject(), cfg).run();
+        assert_eq!(reg.execs.get(), reg.tier_fast_execs.get());
+        assert_eq!(
+            report.execs,
+            reg.execs.get() + reg.tier_escalations.get(),
+            "an escalation is charged as a second execution"
+        );
+    }
+
+    #[test]
+    fn tracing_does_not_change_the_campaign() {
+        // untraced first runs that are rejected build lean summaries,
+        // traced ones full summaries; the campaign must not notice
+        for exec_mode in [ExecMode::Full, ExecMode::Tiered] {
+            let run = |trace: bool| {
+                let cfg = DriverConfig {
+                    seed: 4,
+                    max_execs: 3_000,
+                    exec_mode,
+                    trace,
+                    ..DriverConfig::default()
+                };
+                Fuzzer::new(pdf_subjects::json::subject(), cfg).run()
+            };
+            let (plain, traced) = (run(false), run(true));
+            assert!(!traced.trace.is_empty());
+            assert_eq!(plain.digest(), traced.digest(), "{exec_mode:?}");
+        }
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //! `--exec-mode` selects the pFuzzer cells' instrumentation tiering:
 //! `full` (default) runs every execution fully instrumented and is the
 //! mode whose journals and digests define the byte-identical replay
-//! contract; `tiered` runs the near-zero-cost fast-failure sink first
-//! and escalates the survivors of the rejection-watermark/fingerprint
-//! filter. AFL and KLEE cells have no instrumentation tiers and ignore
-//! the flag.
+//! contract; `tiered` learns the full summary only for the survivors
+//! of the rejection-watermark/fingerprint filter. AFL and KLEE cells
+//! have no instrumentation tiers and ignore the flag.
 //!
 //! `--submit ADDR` runs the pFuzzer side of the matrix as a service
 //! client instead of in-process: one fleet campaign per

@@ -81,7 +81,7 @@ pub use sink::{
 pub use site::SiteId;
 pub use stats::{PhaseClock, RunStats};
 pub use subject::{
-    CovExecution, CoverageSubjectFn, Execution, FailureExecution, FastExecution,
+    CovExecution, CoverageSubjectFn, Execution, FailureExecution, FailureRun, FastExecution,
     FastFailureSubjectFn, LastFailureSubjectFn, Subject, SubjectFn, Verdict,
 };
 pub use taint::TStr;

@@ -12,11 +12,12 @@
 //! - [`CoverageOnly`] — branch sequence + EOF flag, zero per-comparison
 //!   allocation (the AFL baseline consumes nothing else),
 //! - [`LastFailure`] — rejection index, substitution candidates and
-//!   coverage without an event vector (the full-instrumentation driver
-//!   tier),
+//!   coverage without an event vector (every driver run; one run also
+//!   yields the fast tier's summary, or a lean summary when its
+//!   substitutions go unread — see [`FailureRun`](crate::FailureRun)),
 //! - [`FastFailure`] — rejection index + last comparison only, near
-//!   zero cost per event (the fast driver tier; see *Fuzzing with Fast
-//!   Failure Feedback* in PAPERS.md).
+//!   zero cost per event (the batch executor of generated inputs; see
+//!   *Fuzzing with Fast Failure Feedback* in PAPERS.md).
 //!
 //! Streaming summaries are *defined* by equivalence: they must equal
 //! what the corresponding [`ExecLog`] queries compute
@@ -214,6 +215,12 @@ impl EventSink for CoverageOnly {
 
 /// What the substitution driver needs from one execution: exactly the
 /// [`ExecLog`] queries it used to run, precomputed.
+///
+/// A *lean* summary ([`FailureRun::finish_lean`](crate::FailureRun::finish_lean))
+/// is built for runs whose substitutions nobody will read, such as a
+/// rejected first run of the driver: `branches_up_to_rejection`,
+/// `candidates` and `accepted_first` stay empty, and every other field
+/// equals the full summary's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureSummary {
     /// Distinct branches covered (any outcome).
@@ -429,22 +436,47 @@ impl LastFailure {
     /// [`finish`](EventSink::finish), then returns the internal buffers
     /// to `arena` for the next execution.
     pub fn finish_into(self, arena: &mut ExecArena) -> FailureSummary {
-        let summary = self.summarize();
+        let summary = self.summarize(false);
+        self.recycle(arena);
+        summary
+    }
+
+    /// Returns the internal buffers to `arena` without summarising.
+    pub(crate) fn recycle(self, arena: &mut ExecArena) {
         arena.branches = self.branches;
         arena.watermarks = self.watermarks;
         arena.failed = self.failed;
         arena.last_bytes = self.last.bytes;
-        summary
     }
 
-    fn summarize(&self) -> FailureSummary {
+    /// The [`FastFailure`] summary of the same run. The failed values at
+    /// the rejection index are kept in program order, so the last of
+    /// them is exactly the one value the fast sink keeps.
+    pub(crate) fn fast_summary(&self) -> FastSummary {
+        FastSummary {
+            rejection_index: self.rejection,
+            last_failed: self.failed.last().map(|v| v.materialise()),
+            last_cmp_fingerprint: self.last.fingerprint(),
+            avg_stack_size: self.last.avg_stack_size(),
+            eof_access: self.eof,
+            events: self.events,
+        }
+    }
+
+    /// The run's summary; a `lean` one leaves the substitution fields
+    /// empty (see [`FailureSummary`]).
+    pub(crate) fn summarize(&self, lean: bool) -> FailureSummary {
         let covered = self.branches.len();
         let branches = self.branches.first(covered);
         // a rejection index always has a watermark: both are set by an
         // observed comparison there
-        let branches_up_to_rejection = match self.rejection.map(|r| self.watermarks[r] as usize) {
-            Some(w) if w < covered => self.branches.first(w),
-            _ => branches.clone(),
+        let branches_up_to_rejection = if lean {
+            BranchSet::new()
+        } else {
+            match self.rejection.map(|r| self.watermarks[r] as usize) {
+                Some(w) if w < covered => self.branches.first(w),
+                _ => branches.clone(),
+            }
         };
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut expected_tokens: Vec<Vec<u8>> = Vec::new();
@@ -455,6 +487,14 @@ impl LastFailure {
             // in a 256-bit set, only multi-byte suffixes scan.
             let mut single = [0u64; 4];
             for expected in self.failed.iter() {
+                if let LazyCmpValue::Str { full, .. } = expected {
+                    if full.len() >= 2 && !expected_tokens.iter().any(|t| t == full) {
+                        expected_tokens.push(full.to_vec());
+                    }
+                }
+                if lean {
+                    continue;
+                }
                 let replacement_len = expected.replacement_len();
                 expected.for_each_replacement(|bytes| {
                     let fresh = match *bytes {
@@ -474,11 +514,6 @@ impl LastFailure {
                         });
                     }
                 });
-                if let LazyCmpValue::Str { full, .. } = expected {
-                    if full.len() >= 2 && !expected_tokens.iter().any(|t| t == full) {
-                        expected_tokens.push(full.to_vec());
-                    }
-                }
                 if let Some(span) = expected.accepted_first() {
                     if !accepted_first.contains(&span) {
                         accepted_first.push(span);
@@ -550,7 +585,7 @@ impl EventSink for LastFailure {
     }
 
     fn finish(self) -> FailureSummary {
-        self.summarize()
+        self.summarize(false)
     }
 }
 
@@ -559,8 +594,9 @@ impl EventSink for LastFailure {
 /// What the fast execution tier keeps from one run: the rejection index
 /// plus the last comparison — nothing else. *Fuzzing with Fast Failure
 /// Feedback* observes that this pair is enough to score most candidates;
-/// the tiered driver escalates to full instrumentation only when it
-/// changes.
+/// the tiered driver escalates to the full summary only when it changes.
+/// Reported by the [`FastFailure`] sink, and derived exactly from a
+/// [`LastFailure`] run by [`FailureRun::fast_summary`](crate::FailureRun::fast_summary).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FastSummary {
     /// Index of the first invalid character
@@ -700,15 +736,26 @@ impl ExecLog {
     /// the fallback for subjects without a native last-failure entry
     /// point.
     pub fn failure_summary(&self) -> FailureSummary {
+        FailureSummary {
+            branches_up_to_rejection: self.branches_up_to_rejection(),
+            candidates: self.substitution_candidates(),
+            accepted_first: self.accepted_first_bytes(),
+            ..self.lean_failure_summary()
+        }
+    }
+
+    /// Reduces a full log to the lean [`LastFailure`] summary: the
+    /// substitution fields stay empty (see [`FailureSummary`]).
+    pub(crate) fn lean_failure_summary(&self) -> FailureSummary {
         let branches = self.branches();
         FailureSummary {
             path_hash: branches.path_hash(),
-            branches_up_to_rejection: self.branches_up_to_rejection(),
             branches,
+            branches_up_to_rejection: BranchSet::new(),
             rejection_index: self.rejection_index(),
-            candidates: self.substitution_candidates(),
+            candidates: Vec::new(),
             expected_tokens: self.expected_tokens(),
-            accepted_first: self.accepted_first_bytes(),
+            accepted_first: Vec::new(),
             avg_stack_size: self.avg_stack_size(),
             eof_access: self.eof_access(),
             events: self.events.len() as u64,
@@ -868,7 +915,8 @@ mod tests {
 
     /// Runs `parse` on `input` under the full log and under both
     /// failure sinks recycled through `arena`, and checks the streaming
-    /// summaries against the full-log reductions.
+    /// summaries (full, lean and derived fast) against the full-log
+    /// reductions.
     type Parser<S> = fn(&mut ExecCtx<S>);
 
     fn check_recycled(
@@ -884,6 +932,12 @@ mod tests {
         let mut ctx = ExecCtx::with_sink(input, crate::ctx::DEFAULT_FUEL, sink);
         parse.1(&mut ctx);
         let (_, sink) = ctx.into_parts();
+        assert_eq!(sink.fast_summary(), log.fast_summary(), "input {input:?}");
+        assert_eq!(
+            sink.summarize(true),
+            log.lean_failure_summary(),
+            "input {input:?}"
+        );
         assert_eq!(
             sink.finish_into(arena),
             log.failure_summary(),

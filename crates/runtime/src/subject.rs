@@ -135,16 +135,26 @@ pub struct CovExecution {
 }
 
 /// The result of a last-failure run.
+///
+/// Like [`FastExecution`], it carries no eager `error` field: the driver
+/// never reads the rejection message, so [`error`](FailureExecution::error)
+/// clones it out of the verdict only when asked.
 #[derive(Debug, Clone)]
 pub struct FailureExecution {
     /// Whether the input was accepted as valid.
     pub valid: bool,
-    /// Rejection message, when invalid.
-    pub error: Option<String>,
     /// How the run ended (accept / reject / hang / crash).
     pub verdict: Verdict,
     /// The failure summary of the run.
     pub failure: FailureSummary,
+}
+
+impl FailureExecution {
+    /// Rejection message, when invalid — cloned out of the verdict on
+    /// demand.
+    pub fn error(&self) -> Option<String> {
+        self.verdict.error()
+    }
 }
 
 /// The result of a fast-failure run (the cheap tier).
@@ -169,6 +179,93 @@ impl FastExecution {
     /// demand rather than on every execution.
     pub fn error(&self) -> Option<String> {
         self.verdict.error()
+    }
+}
+
+/// A finished [`LastFailure`] run whose summary is not built yet
+/// ([`Subject::failure_run`]). Once the verdict is known, the caller
+/// pays only for the summary it will read: the full [`FailureSummary`]
+/// ([`finish`](Self::finish)), a lean one without the substitution
+/// fields ([`finish_lean`](Self::finish_lean)), or just the
+/// [`FastSummary`] fields ([`fast_summary`](Self::fast_summary), then
+/// [`into_verdict`](Self::into_verdict)). Each of the consuming methods
+/// hands the sink's buffers back to the arena; dropping the run instead
+/// is safe, the arena then reallocates on its next use.
+#[derive(Debug)]
+pub struct FailureRun<'a> {
+    arena: &'a mut ExecArena,
+    verdict: Verdict,
+    sink: PendingSink,
+}
+
+/// The unsummarised sink: native, or the full-log fallback for subjects
+/// without a last-failure entry point. Unboxed: a run lives for one
+/// call, and boxing the native sink would allocate on every execution.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum PendingSink {
+    Native(LastFailure),
+    Log(ExecLog),
+}
+
+impl FailureRun<'_> {
+    /// How the run ended.
+    pub fn verdict(&self) -> &Verdict {
+        &self.verdict
+    }
+
+    /// Exactly the [`FastSummary`] a [`FastFailure`] run of the same input
+    /// reports, derived from this run without a second execution.
+    pub fn fast_summary(&self) -> FastSummary {
+        match &self.sink {
+            PendingSink::Native(sink) => sink.fast_summary(),
+            PendingSink::Log(log) => log.fast_summary(),
+        }
+    }
+
+    /// The full summary, identical to [`Subject::run_last_failure`]'s.
+    pub fn finish(self) -> FailureExecution {
+        self.finish_with(false)
+    }
+
+    /// The lean summary: `branches_up_to_rejection`, `candidates` and
+    /// `accepted_first` stay empty, every other field equals the full
+    /// summary's.
+    pub fn finish_lean(self) -> FailureExecution {
+        self.finish_with(true)
+    }
+
+    fn finish_with(self, lean: bool) -> FailureExecution {
+        let failure = match self.sink {
+            PendingSink::Native(sink) => {
+                let failure = sink.summarize(lean);
+                sink.recycle(self.arena);
+                failure
+            }
+            PendingSink::Log(log) => {
+                let failure = if lean {
+                    log.lean_failure_summary()
+                } else {
+                    log.failure_summary()
+                };
+                self.arena.recycle_log(log);
+                failure
+            }
+        };
+        FailureExecution {
+            valid: self.verdict.is_accept(),
+            verdict: self.verdict,
+            failure,
+        }
+    }
+
+    /// Hands the buffers back without building a summary.
+    pub fn into_verdict(self) -> Verdict {
+        match self.sink {
+            PendingSink::Native(sink) => sink.recycle(self.arena),
+            PendingSink::Log(log) => self.arena.recycle_log(log),
+        }
+        self.verdict
     }
 }
 
@@ -327,6 +424,24 @@ impl Subject {
         (verdict, ctx.finish())
     }
 
+    /// [`exec`](Self::exec) with the input copied into the arena's input
+    /// buffer, returning the sink unsummarised.
+    fn exec_arena<S: EventSink>(
+        &self,
+        arena: &mut ExecArena,
+        input: &[u8],
+        entry: fn(&mut ExecCtx<S>) -> Result<(), ParseError>,
+        sink: S,
+    ) -> (Verdict, S) {
+        let mut buf = std::mem::take(&mut arena.input_buf);
+        buf.clear();
+        buf.extend_from_slice(input);
+        let (verdict, ctx) = self.exec_ctx(buf, entry, sink);
+        let (buf, sink) = ctx.into_parts();
+        arena.input_buf = buf;
+        (verdict, sink)
+    }
+
     /// The chokepoint body over an owned input buffer, returning the
     /// context unfinished so the batch executors can recycle its input
     /// buffer and sink. All metrics are recorded here, before the sink
@@ -399,28 +514,11 @@ impl Subject {
     }
 
     /// Runs the subject with the [`LastFailure`] sink: verdict plus the
-    /// precomputed substitution-driver summary.
+    /// precomputed substitution-driver summary. Falls back to a full-log
+    /// run reduced via [`ExecLog::failure_summary`] for subjects without
+    /// a native last-failure entry point.
     pub fn run_last_failure(&self, input: &[u8]) -> FailureExecution {
-        match self.last_failure_entry {
-            Some(entry) => {
-                let (verdict, failure) = self.exec(input, entry, LastFailure::default());
-                FailureExecution {
-                    valid: verdict.is_accept(),
-                    error: verdict.error(),
-                    verdict,
-                    failure,
-                }
-            }
-            None => {
-                let exec = self.run(input);
-                FailureExecution {
-                    valid: exec.valid,
-                    error: exec.error,
-                    verdict: exec.verdict,
-                    failure: exec.log.failure_summary(),
-                }
-            }
-        }
+        self.run_last_failure_arena(&mut ExecArena::new(), input)
     }
 
     /// Runs the subject with the [`FastFailure`] sink: verdict, rejection
@@ -428,24 +526,7 @@ impl Subject {
     /// run reduced via [`ExecLog::fast_summary`] for subjects without a
     /// native fast-failure entry point.
     pub fn run_fast_failure(&self, input: &[u8]) -> FastExecution {
-        match self.fast_failure_entry {
-            Some(entry) => {
-                let (verdict, fast) = self.exec(input, entry, FastFailure::default());
-                FastExecution {
-                    valid: verdict.is_accept(),
-                    verdict,
-                    fast,
-                }
-            }
-            None => {
-                let exec = self.run(input);
-                FastExecution {
-                    valid: exec.valid,
-                    verdict: exec.verdict,
-                    fast: exec.log.fast_summary(),
-                }
-            }
-        }
+        self.run_fast_failure_arena(&mut ExecArena::new(), input)
     }
 
     /// [`run_fast_failure`](Self::run_fast_failure) through an
@@ -453,22 +534,15 @@ impl Subject {
     /// arena's (the full-log fallback recycles its event buffer).
     /// Summary and verdict are identical to the arena-less run.
     pub fn run_fast_failure_arena(&self, arena: &mut ExecArena, input: &[u8]) -> FastExecution {
-        let mut buf = std::mem::take(&mut arena.input_buf);
-        buf.clear();
-        buf.extend_from_slice(input);
         let (verdict, fast) = match self.fast_failure_entry {
             Some(entry) => {
                 let sink = FastFailure::recycled(arena);
-                let (verdict, ctx) = self.exec_ctx(buf, entry, sink);
-                let (buf, sink) = ctx.into_parts();
-                arena.input_buf = buf;
+                let (verdict, sink) = self.exec_arena(arena, input, entry, sink);
                 (verdict, sink.finish_into(arena))
             }
             None => {
                 let sink = FullLog::recycled(arena);
-                let (verdict, ctx) = self.exec_ctx(buf, self.entry, sink);
-                let (buf, sink) = ctx.into_parts();
-                arena.input_buf = buf;
+                let (verdict, sink) = self.exec_arena(arena, input, self.entry, sink);
                 let log = sink.finish();
                 let fast = log.fast_summary();
                 arena.recycle_log(log);
@@ -484,26 +558,34 @@ impl Subject {
 
     /// [`run_last_failure`](Self::run_last_failure) through an
     /// [`ExecArena`]: the input copy and the sink's internal vectors all
-    /// reuse the arena's buffers. Summary and verdict are identical to
-    /// the arena-less run (the recycled-sink property tests hold the two
-    /// paths equal).
+    /// reuse the arena's buffers (the full-log fallback recycles its
+    /// event buffer). Summary and verdict are identical to the arena-less
+    /// run (the recycled-sink property tests hold the two paths equal).
     pub fn run_last_failure_arena(&self, arena: &mut ExecArena, input: &[u8]) -> FailureExecution {
-        let Some(entry) = self.last_failure_entry else {
-            return self.run_last_failure(input);
+        self.failure_run(arena, input).finish()
+    }
+
+    /// Runs the subject with the [`LastFailure`] sink through `arena`
+    /// and stops before summarising, so the caller can choose, from the
+    /// verdict, how much summary to build (see [`FailureRun`]). The run
+    /// passes through the metrics chokepoint like any other.
+    pub fn failure_run<'a>(&self, arena: &'a mut ExecArena, input: &[u8]) -> FailureRun<'a> {
+        let (verdict, sink) = match self.last_failure_entry {
+            Some(entry) => {
+                let sink = LastFailure::recycled(arena);
+                let (verdict, sink) = self.exec_arena(arena, input, entry, sink);
+                (verdict, PendingSink::Native(sink))
+            }
+            None => {
+                let sink = FullLog::recycled(arena);
+                let (verdict, sink) = self.exec_arena(arena, input, self.entry, sink);
+                (verdict, PendingSink::Log(sink.finish()))
+            }
         };
-        let mut buf = std::mem::take(&mut arena.input_buf);
-        buf.clear();
-        buf.extend_from_slice(input);
-        let sink = LastFailure::recycled(arena);
-        let (verdict, ctx) = self.exec_ctx(buf, entry, sink);
-        let (buf, sink) = ctx.into_parts();
-        arena.input_buf = buf;
-        let failure = sink.finish_into(arena);
-        FailureExecution {
-            valid: verdict.is_accept(),
-            error: verdict.error(),
+        FailureRun {
+            arena,
             verdict,
-            failure,
+            sink,
         }
     }
 
@@ -719,6 +801,27 @@ mod tests {
     }
 
     #[test]
+    fn failure_run_derives_every_summary() {
+        for s in [
+            instrument_subject!("a", accept_a),
+            Subject::new("a", accept_a),
+        ] {
+            let mut arena = crate::ExecArena::new();
+            for input in [&b""[..], b"a", b"b", b"ab"] {
+                let single = s.run_last_failure(input);
+                let run = s.failure_run(&mut arena, input);
+                assert_eq!(run.fast_summary(), s.run_fast_failure(input).fast);
+                assert_eq!(run.into_verdict(), single.verdict, "input {input:?}");
+                let full = s.failure_run(&mut arena, input).finish();
+                assert_eq!(full.failure, single.failure, "input {input:?}");
+                let lean = s.failure_run(&mut arena, input).finish_lean();
+                assert_eq!(lean.failure.branches, single.failure.branches);
+                assert!(lean.failure.candidates.is_empty(), "input {input:?}");
+            }
+        }
+    }
+
+    #[test]
     fn batch_execs_hit_the_metrics_chokepoint() {
         let reg = std::sync::Arc::new(pdf_obs::MetricsRegistry::new());
         let _scope = pdf_obs::install(std::sync::Arc::clone(&reg));
@@ -763,9 +866,9 @@ mod tests {
         let cov = s.run_coverage(b"x");
         let lf = s.run_last_failure(b"x");
         for (error, verdict) in [
-            (&full.error, &full.verdict),
-            (&cov.error, &cov.verdict),
-            (&lf.error, &lf.verdict),
+            (full.error.clone(), &full.verdict),
+            (cov.error.clone(), &cov.verdict),
+            (lf.error(), &lf.verdict),
         ] {
             assert_eq!(error.as_deref(), Some("hang: fuel exhausted"));
             assert_eq!(*verdict, Verdict::Hang);

@@ -2,9 +2,11 @@
 //! subject, the `CoverageOnly`, `LastFailure` and `FastFailure` sinks
 //! must report exactly what a reduction of the `FullLog` event vector
 //! reports — same branch set, same EOF access, same rejection index,
-//! same substitution candidates, same last-comparison fingerprint.
+//! same substitution candidates, same last-comparison fingerprint. One
+//! full-sink run must also yield the fast sink's summary exactly, and
+//! its lean summary must keep the full summary's fields unchanged.
 
-use pdf_runtime::ExecArena;
+use pdf_runtime::{BranchSet, ExecArena, FailureSummary, Subject};
 use proptest::prelude::*;
 
 /// Checks every subject against the full-log reference reductions.
@@ -20,7 +22,7 @@ fn assert_sinks_agree(input: &[u8]) {
         assert_eq!(fail.valid, full.valid, "{}: verdicts differ", info.name);
         assert_eq!(fast.valid, full.valid, "{}: verdicts differ", info.name);
         assert_eq!(cov.error, full.error, "{}: errors differ", info.name);
-        assert_eq!(fail.error, full.error, "{}: errors differ", info.name);
+        assert_eq!(fail.error(), full.error, "{}: errors differ", info.name);
         assert_eq!(fast.error(), full.error, "{}: errors differ", info.name);
 
         let cov_ref = full.log.coverage_summary();
@@ -76,6 +78,19 @@ fn near_valid_prefix() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Short sequences mixing arbitrary bytes and near-valid prefixes, for
+/// tests that run many inputs through one arena.
+fn input_sequence() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..24),
+            (near_valid_prefix(), "[ -~]{0,6}")
+                .prop_map(|(prefix, tail)| format!("{prefix}{tail}").into_bytes()),
+        ],
+        1..8,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,16 +139,7 @@ proptest! {
     }
 
     #[test]
-    fn recycled_full_tier_agrees_with_the_full_log(
-        inputs in proptest::collection::vec(
-            prop_oneof![
-                proptest::collection::vec(any::<u8>(), 0..24),
-                (near_valid_prefix(), "[ -~]{0,6}")
-                    .prop_map(|(prefix, tail)| format!("{prefix}{tail}").into_bytes()),
-            ],
-            1..8,
-        ),
-    ) {
+    fn recycled_full_tier_agrees_with_the_full_log(inputs in input_sequence()) {
         // the driver's full tier: one arena shared by every run, left
         // dirty by the previous subject and the previous input, through
         // both the single-run and the batch entry points
@@ -154,6 +160,41 @@ proptest! {
             for (exec, full) in batch.iter().zip(&references) {
                 prop_assert_eq!(exec.valid, full.valid, "{}", info.name);
                 prop_assert_eq!(&exec.failure, &full.log.failure_summary(), "{}", info.name);
+            }
+        }
+    }
+
+    #[test]
+    fn one_full_run_serves_every_summary(inputs in input_sequence()) {
+        // the tiered driver runs each input once, under the full sink,
+        // and derives the fast tier's summary from that run; a rejected
+        // first run builds only the lean summary. One arena serves every
+        // run, left dirty by the previous subject and input, and each
+        // subject also runs through the full-log fallback.
+        let mut arena = ExecArena::new();
+        for info in pdf_subjects::all_subjects() {
+            let native = info.subject;
+            let log_only = Subject::new(native.name(), native.entry()).with_fuel(native.fuel());
+            for subject in [native, log_only] {
+                for input in &inputs {
+                    let fast = subject.run_fast_failure_arena(&mut arena, input);
+                    let run = subject.failure_run(&mut arena, input);
+                    prop_assert_eq!(run.verdict(), &fast.verdict, "{}", info.name);
+                    prop_assert_eq!(&run.fast_summary(), &fast.fast, "{}", info.name);
+                    let full = run.finish();
+
+                    let lean = subject.failure_run(&mut arena, input).finish_lean();
+                    prop_assert_eq!(lean.valid, full.valid, "{}", info.name);
+                    prop_assert_eq!(&lean.verdict, &full.verdict, "{}", info.name);
+                    // every kept field equal, every dropped one empty
+                    let expected = FailureSummary {
+                        branches_up_to_rejection: BranchSet::new(),
+                        candidates: Vec::new(),
+                        accepted_first: Vec::new(),
+                        ..full.failure
+                    };
+                    prop_assert_eq!(&lean.failure, &expected, "{}", info.name);
+                }
             }
         }
     }
