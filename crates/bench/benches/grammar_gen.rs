@@ -4,13 +4,12 @@
 //!
 //! The grammars are mined exactly as the combined campaign mines them:
 //! a pFuzzer exploration discovers valid inputs, `mine_corpus`
-//! generalizes them. The two sides then compare the pre-existing
-//! pipeline shape against the flood shape that replaced it:
+//! generalizes them. The two sides then compare the reference
+//! generator against the flood shape that replaced it:
 //!
 //! * `recursive` — `Generator::generate`: a `BTreeMap` walk per
 //!   nonterminal, an accounted `Rng` draw per expanded rule, a fresh
-//!   `Vec` allocation per input (how `run_pipeline` generated before
-//!   the compiled backend existed).
+//!   `Vec` allocation per input.
 //! * `compiled` — `CompiledGrammar::generate_batch`: dense `u32` rule
 //!   tables, one shared terminal pool with literal rules spliced into
 //!   their callers, precomputed cheapest expansions (a depth-bound

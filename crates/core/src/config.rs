@@ -119,6 +119,10 @@ pub enum ExecMode {
     Tiered,
 }
 
+/// Inputs longer than this are not extended further (guard against
+/// permissive subjects where everything is valid).
+pub const MAX_INPUT_LEN: usize = 128;
+
 /// Driver configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriverConfig {
@@ -136,9 +140,6 @@ pub struct DriverConfig {
     pub search: SearchMode,
     /// Extension behaviour (see [`ExtensionMode`]).
     pub extension_mode: ExtensionMode,
-    /// Inputs longer than this are not extended further (guard against
-    /// permissive subjects where everything is valid).
-    pub max_input_len: usize,
     /// Record a step-by-step trace (used by the Figure 1 walkthrough).
     pub trace: bool,
     /// Instrumentation tiering for candidate executions (see
@@ -166,7 +167,6 @@ impl Default for DriverConfig {
             heuristic: HeuristicConfig::default(),
             search: SearchMode::default(),
             extension_mode: ExtensionMode::Both,
-            max_input_len: 128,
             trace: false,
             exec_mode: ExecMode::default(),
             dictionary: Vec::new(),
@@ -214,7 +214,8 @@ impl DriverConfig {
             ExtensionMode::ReplaceOnly => 1,
             ExtensionMode::AppendOnly => 2,
         });
-        d.write_u64(self.max_input_len as u64);
+        // The retired `max_input_len` field: always `MAX_INPUT_LEN`.
+        d.write_u64(MAX_INPUT_LEN as u64);
         d.write_u8(self.trace as u8);
         // The retired sink selector: always the streaming sink (`1`).
         d.write_u8(1);
@@ -271,7 +272,6 @@ mod tests {
     fn default_driver_config_is_sane() {
         let c = DriverConfig::default();
         assert!(c.max_execs > 0);
-        assert!(c.max_input_len > 0);
         assert_eq!(c.extension_mode, ExtensionMode::Both);
         assert_eq!(c.search, SearchMode::Heuristic);
         assert!(!c.trace);
@@ -311,10 +311,6 @@ mod tests {
             },
             DriverConfig {
                 extension_mode: ExtensionMode::AppendOnly,
-                ..DriverConfig::default()
-            },
-            DriverConfig {
-                max_input_len: 64,
                 ..DriverConfig::default()
             },
             DriverConfig {

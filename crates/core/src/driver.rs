@@ -13,7 +13,9 @@ use crate::budget::{CampaignBudget, StopReason, DEADLINE_CHECK_INTERVAL};
 use crate::checkpoint::{
     branch_pairs_of, branch_set_of, Checkpoint, CheckpointError, QueueItemSnapshot, QueueSnapshot,
 };
-use crate::config::{DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode};
+use crate::config::{
+    DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode, MAX_INPUT_LEN,
+};
 use crate::queue::{CandidateQueue, Family, QueueEntry, QueueState};
 
 /// Cap on the candidate queue; when exceeded, the worst half is dropped.
@@ -649,9 +651,7 @@ impl Fuzzer {
                         st.parents,
                         &st.steer_branches,
                     );
-                    if exec2.failure.candidates.is_empty()
-                        && st.current.len() <= self.cfg.max_input_len
-                    {
+                    if exec2.failure.candidates.is_empty() && st.current.len() <= MAX_INPUT_LEN {
                         // The random extension hit a spot where no
                         // comparison constrains it (Figure 1, step 3:
                         // "we append another random character") — give
@@ -1106,7 +1106,7 @@ impl Fuzzer {
         steer: &BranchSet,
     ) {
         let _span = pdf_obs::span("driver.enqueue");
-        if input.len() > self.cfg.max_input_len {
+        if input.len() > MAX_INPUT_LEN {
             return;
         }
         // Every candidate of this run shares one family: the parent's
@@ -1131,7 +1131,7 @@ impl Fuzzer {
             // first invalid character is garbage by definition.
             let mut new_input = input[..cand.at_index.min(input.len())].to_vec();
             new_input.extend_from_slice(&cand.bytes);
-            if new_input.len() > self.cfg.max_input_len {
+            if new_input.len() > MAX_INPUT_LEN {
                 continue;
             }
             siblings.push((new_input, cand.replacement_len));
@@ -1155,7 +1155,7 @@ impl Fuzzer {
             if let Some(idx) = summary.rejection_index {
                 let mut dict_pushed: u64 = 0;
                 for tok in &self.cfg.dictionary {
-                    if tok.len() < 2 || tok.len() > self.cfg.max_input_len {
+                    if tok.len() < 2 || tok.len() > MAX_INPUT_LEN {
                         continue;
                     }
                     let anchored = tok.first().is_some_and(|&b| {
@@ -1170,7 +1170,7 @@ impl Fuzzer {
                     }
                     let mut new_input = input[..idx.min(input.len())].to_vec();
                     new_input.extend_from_slice(tok);
-                    if new_input.len() > self.cfg.max_input_len {
+                    if new_input.len() > MAX_INPUT_LEN {
                         continue;
                     }
                     dict_pushed += 1;
@@ -1600,7 +1600,7 @@ mod tests {
         assert!(matches!(wrong_subject, Err(CheckpointError::Drift(_))));
 
         let wrong_cfg = DriverConfig {
-            max_input_len: 7,
+            extension_mode: ExtensionMode::AppendOnly,
             ..cfg.clone()
         };
         assert!(matches!(

@@ -3,8 +3,10 @@
 //!
 //! `pdf-grammar` mines a recursive [`Grammar`](pdf_grammar::Grammar)
 //! from pFuzzer's valid inputs; its recursive `Generator` walks that
-//! grammar through a `BTreeMap` with a fresh allocation per node. This
-//! crate makes the mined structure *fast* and *adaptive*:
+//! grammar through a `BTreeMap` with a fresh allocation per node and is
+//! kept only as the reference this crate is tested and benchmarked
+//! against. This crate is where generation runs, and it makes the
+//! mined structure *fast* and *adaptive*:
 //!
 //! 1. [`compile`] — flatten the grammar into dense rule tables: `u32`
 //!    rule ids, one shared terminal byte pool with adjacent literals
@@ -35,6 +37,27 @@
 //! All randomness flows through the seeded [`Rng`](pdf_runtime::Rng)
 //! chokepoint, so every layer is replay-deterministic: same
 //! configuration, same digests.
+//!
+//! # Example
+//!
+//! The §7.4 loop (`examples/grammar_pipeline.rs` at full size):
+//! pFuzzer explores, the miner generalizes, and one epoch of the
+//! compiled grammar generates inputs that the subject validates.
+//!
+//! ```
+//! use pdf_core::{DriverConfig, Fuzzer};
+//! use pdf_gen::{compile_uniform, evolve, EvolveConfig};
+//! use pdf_grammar::mine_corpus;
+//!
+//! let subject = pdf_subjects::arith::subject();
+//! let fuzz_cfg = DriverConfig { seed: 1, max_execs: 3_000, ..DriverConfig::default() };
+//! let fuzzed = Fuzzer::new(subject, fuzz_cfg).run().valid_inputs;
+//! let compiled = compile_uniform(&mine_corpus(subject, &fuzzed), 10).unwrap();
+//! let gen_cfg = EvolveConfig { seed: 1, epochs: 1, batch: 50, ..EvolveConfig::default() };
+//! let report = evolve(subject, compiled, gen_cfg);
+//! assert_eq!(report.generated, 50);
+//! assert!(!report.distinct_valid.is_empty());
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

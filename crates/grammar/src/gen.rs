@@ -1,4 +1,6 @@
-//! Grammar-based generation from a mined grammar.
+//! Grammar-based generation from a mined grammar: the recursive
+//! reference walk that `pdf-gen`'s compiled generator is tested and
+//! benchmarked against.
 
 use std::collections::BTreeMap;
 
@@ -84,17 +86,8 @@ impl<'g> Generator<'g> {
     /// Generates one input.
     pub fn generate(&mut self, rng: &mut Rng) -> Vec<u8> {
         let mut out = Vec::new();
-        self.generate_into(rng, &mut out);
+        self.expand(START, 0, rng, &mut out);
         out
-    }
-
-    /// Generates one input into `out`, clearing it first. The buffer's
-    /// capacity survives across calls (`ExecArena` conventions), so a
-    /// caller reusing one buffer generates allocation-free once the
-    /// high-water mark is reached.
-    pub fn generate_into(&mut self, rng: &mut Rng, out: &mut Vec<u8>) {
-        out.clear();
-        self.expand(START, 0, rng, out);
     }
 
     fn expand(&self, label: Label, depth: usize, rng: &mut Rng, out: &mut Vec<u8>) {
@@ -173,25 +166,6 @@ mod tests {
             longest > max_corpus_len,
             "longest generated {longest} <= corpus max {max_corpus_len}"
         );
-    }
-
-    #[test]
-    fn generate_into_matches_generate_and_reuses_capacity() {
-        let grammar = mine_corpus(pdf_subjects::arith::subject(), &arith_generator_corpus());
-        let mut g1 = Generator::new(&grammar, 10);
-        let mut g2 = Generator::new(&grammar, 10);
-        let mut r1 = Rng::new(9);
-        let mut r2 = Rng::new(9);
-        let mut buf = Vec::new();
-        let mut prev_cap = 0;
-        for _ in 0..50 {
-            g1.generate_into(&mut r1, &mut buf);
-            assert_eq!(buf, g2.generate(&mut r2));
-            // capacity never shrinks: the buffer is cleared, not dropped
-            assert!(buf.capacity() >= prev_cap);
-            prev_cap = buf.capacity();
-        }
-        assert_eq!(r1.draw_count(), r2.draw_count());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! > inputs."
 //!
 //! pFuzzer removes that stumbling block: its outputs are valid and
-//! diverse by construction. This crate closes the loop:
+//! diverse by construction. This crate holds the mining half of the
+//! loop, over `pdf-runtime` alone:
 //!
 //! 1. [`mine`] — rebuild the *parse structure* of each valid input from
 //!    the same instrumentation pFuzzer already records: every comparison
@@ -20,31 +21,32 @@
 //!    the static site of their first comparison, so the `value` inside
 //!    `[1, [2]]` and the outer `value` share a nonterminal — which is
 //!    what makes the mined grammar *recursive*.
-//! 2. [`gen`] — expand the mined grammar with a depth-bounded random
-//!    walk, yielding inputs far longer and more deeply nested than the
-//!    fuzzer's own outputs.
-//! 3. [`pipeline`] — glue: fuzz, mine, generate, validate (every
-//!    generated input is re-run through the subject in one
-//!    fast-failure batch; the report keeps only accepted ones and the
-//!    acceptance rate).
-//! 4. [`codec`] — persist a grammar plus learned generation weights as
+//! 2. [`codec`] — persist a grammar plus learned generation weights as
 //!    `pdf-grammar v1` text (count + digest integrity), the format
 //!    behind `evalrunner --grammar-out` / `--grammar-in` and the input
 //!    to the compiled generator in `pdf-gen`.
+//! 3. [`gen`] — the reference generator: a recursive, depth-bounded
+//!    random walk over the mined grammar. Generation itself runs
+//!    through `pdf-gen`'s compiled grammar (explore with `pdf-core`,
+//!    [`mine_corpus`], `pdf_gen::compile_uniform`, `pdf_gen::evolve`);
+//!    the recursive walk is what that compiled generator is tested
+//!    and benchmarked against.
 //!
 //! # Example
 //!
 //! ```
-//! use pdf_grammar::pipeline::{run_pipeline, PipelineConfig};
+//! use pdf_grammar::{mine_corpus, GrammarFile};
 //!
 //! let subject = pdf_subjects::arith::subject();
-//! let report = run_pipeline(subject, &PipelineConfig {
-//!     seed: 1,
-//!     fuzz_execs: 3_000,
-//!     generate: 50,
-//!     ..PipelineConfig::default()
-//! });
-//! assert!(!report.generated_valid.is_empty());
+//! let corpus: Vec<Vec<u8>> = [&b"1"[..], b"(1)", b"((2))", b"1+2"]
+//!     .iter()
+//!     .map(|c| c.to_vec())
+//!     .collect();
+//! let grammar = mine_corpus(subject, &corpus);
+//! assert!(!grammar.is_empty());
+//! // the file `pdf_gen::CompiledGrammar::compile` generates from
+//! let file = GrammarFile::uniform(grammar);
+//! assert_eq!(GrammarFile::decode(&file.encode()).unwrap(), file);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,9 +55,7 @@
 pub mod codec;
 pub mod gen;
 pub mod mine;
-pub mod pipeline;
 
 pub use codec::GrammarFile;
 pub use gen::Generator;
 pub use mine::{mine_corpus, Grammar, Label, Sym, START};
-pub use pipeline::{run_pipeline, PipelineConfig, PipelineReport};

@@ -7,8 +7,8 @@
 //! event vector and the batch result vectors. An [`ExecArena`] owns all
 //! of those buffers and hands them to each execution *cleared, not
 //! reallocated*, so a batch of N candidate runs through
-//! [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast) or
-//! [`Subject::exec_batch_failure`](crate::Subject::exec_batch_failure)
+//! [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast) or a
+//! loop of [`Subject::failure_run`](crate::Subject::failure_run) calls
 //! performs a bounded number of allocations total instead of a handful
 //! per candidate.
 //!
@@ -37,7 +37,7 @@
 use crate::coverage::DistinctBranches;
 use crate::events::{Event, ExecLog};
 use crate::sink::ValueBuf;
-use crate::subject::{FailureExecution, FastExecution};
+use crate::subject::FastExecution;
 
 /// Preallocated scratch shared by a sequence of executions: the input
 /// copy, the sinks' internal vectors and the batch result vectors, all
@@ -47,8 +47,8 @@ use crate::subject::{FailureExecution, FastExecution};
 /// cost in interpreter-style harnesses to setup/teardown rather than
 /// parsing; the arena removes our equivalent, so a batch of N runs
 /// through [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast)
-/// or [`Subject::exec_batch_failure`](crate::Subject::exec_batch_failure)
-/// performs a bounded number of allocations total instead of a
+/// or a loop of [`Subject::failure_run`](crate::Subject::failure_run)
+/// calls performs a bounded number of allocations total instead of a
 /// handful per candidate.
 #[derive(Debug, Default)]
 pub struct ExecArena {
@@ -67,8 +67,6 @@ pub struct ExecArena {
     pub(crate) events: Vec<Event>,
     /// Result slots for [`Subject::exec_batch_fast`](crate::Subject::exec_batch_fast).
     pub(crate) fast_results: Vec<FastExecution>,
-    /// Result slots for [`Subject::exec_batch_failure`](crate::Subject::exec_batch_failure).
-    pub(crate) failure_results: Vec<FailureExecution>,
 }
 
 impl ExecArena {
@@ -89,12 +87,6 @@ impl ExecArena {
     /// call (empty before the first).
     pub fn fast_results(&self) -> &[FastExecution] {
         &self.fast_results
-    }
-
-    /// Results of the latest [`Subject::exec_batch_failure`](crate::Subject::exec_batch_failure)
-    /// call (empty before the first).
-    pub fn failure_results(&self) -> &[FailureExecution] {
-        &self.failure_results
     }
 }
 

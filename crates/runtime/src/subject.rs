@@ -612,25 +612,6 @@ impl Subject {
         arena.fast_results = results;
         &arena.fast_results
     }
-
-    /// Executes every candidate in `inputs` under the [`LastFailure`]
-    /// sink through `arena` — the full-instrumentation counterpart of
-    /// [`exec_batch_fast`](Self::exec_batch_fast), with the same
-    /// amortisation and the same result-slice lifetime.
-    pub fn exec_batch_failure<'a, I: AsRef<[u8]>>(
-        &self,
-        arena: &'a mut ExecArena,
-        inputs: &[I],
-    ) -> &'a [FailureExecution] {
-        let mut results = std::mem::take(&mut arena.failure_results);
-        results.clear();
-        results.reserve(inputs.len());
-        for input in inputs {
-            results.push(self.run_last_failure_arena(arena, input.as_ref()));
-        }
-        arena.failure_results = results;
-        &arena.failure_results
-    }
 }
 
 impl fmt::Debug for Subject {
@@ -772,14 +753,15 @@ mod tests {
                 assert_eq!(got.error(), single.error(), "input {input:?}");
                 assert_eq!(got.fast, single.fast, "input {input:?}");
             }
-            let failure = s.exec_batch_failure(&mut arena, &inputs).to_vec();
-            for (got, input) in failure.iter().zip(&inputs) {
+            // the full tier loops through the same, now dirty, arena
+            for input in &inputs {
+                let got = s.run_last_failure_arena(&mut arena, input);
                 let single = s.run_last_failure(input);
                 assert_eq!(got.valid, single.valid, "input {input:?}");
                 assert_eq!(got.failure, single.failure, "input {input:?}");
             }
-            // the accessors expose the latest batch
-            assert_eq!(arena.failure_results().len(), inputs.len());
+            // the accessor exposes the latest batch
+            assert_eq!(arena.fast_results().len(), inputs.len());
         }
     }
 
@@ -832,7 +814,9 @@ mod tests {
         assert_eq!(reg.execs.get(), 3);
         assert_eq!(reg.accepts.get(), 1);
         assert_eq!(reg.rejects.get(), 2);
-        s.exec_batch_failure(&mut arena, &inputs);
+        for input in &inputs {
+            s.run_last_failure_arena(&mut arena, input);
+        }
         assert_eq!(reg.execs.get(), 6);
         assert_eq!(reg.input_len.count(), 6);
         assert!(reg.snapshot().check_identities().is_ok());

@@ -605,17 +605,19 @@ impl Inner {
                 }
                 Ok(fleet)
             }
-            Err(e) if e.class() == ErrorClass::Corrupt => {
-                // Every generation is damaged: quarantine them all and
-                // restart the campaign from scratch — deterministic, so
-                // the final digest is unchanged (it just costs re-run
-                // time).
+            Err(e) if e.class() == ErrorClass::Drift => {
+                Err(format!("checkpoint resume failed: {e}"))
+            }
+            Err(_) => {
+                // No generation is usable (torn, or a file is missing):
+                // quarantine them all and restart the campaign from its
+                // spec — deterministic, so the final digest is
+                // unchanged (it just costs re-run time).
                 for dir in &gens {
                     self.quarantine_checkpoint(dir);
                 }
                 Fleet::new(info.subject, cfg).map_err(|e| format!("fleet config: {e}"))
             }
-            Err(e) => Err(format!("checkpoint resume failed: {e}")),
         }
     }
 }
@@ -1189,6 +1191,46 @@ mod tests {
         );
         daemon.shutdown();
         assert!(crate::journal::append_suffix(&jpath, ".quarantine").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restart_without_any_usable_checkpoint_reruns_from_the_spec() {
+        let dir = tmpdir("no-usable-ck");
+        let spec = CampaignSpec {
+            execs: 3000,
+            ..small_spec("arith", 13)
+        };
+        let uninterrupted = {
+            let info = pdf_subjects::by_name("arith").unwrap();
+            Fleet::new(info.subject, fleet_config(&spec)).unwrap().run()
+        };
+        let id = {
+            let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+            let id = daemon.submit(spec.clone()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while daemon.status(id).unwrap().epoch < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            daemon.hard_stop();
+            assert_eq!(daemon.status(id).unwrap().phase, Phase::Running);
+            id
+        };
+        // The newest generation lost its manifest (an I/O-class error
+        // on resume) and the older one is torn (a corrupt-class one).
+        let cur = checkpoint_dir(&dir, id).join(pdf_fleet::MANIFEST_FILE);
+        std::fs::remove_file(&cur).unwrap();
+        let prev = prev_checkpoint_dir(&dir, id).join(pdf_fleet::MANIFEST_FILE);
+        let m = std::fs::read_to_string(&prev).unwrap();
+        std::fs::write(&prev, &m[..m.len() / 2]).unwrap();
+
+        let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        assert!(daemon.wait_idle(Duration::from_secs(120)));
+        let status = daemon.status(id).unwrap();
+        assert_eq!(status.phase, Phase::Done, "{:?}", status.error);
+        assert_eq!(status.digest, Some(uninterrupted.digest()));
+        assert_eq!(daemon.registry().serve_checkpoint_quarantined.get(), 2);
+        daemon.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

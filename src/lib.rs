@@ -24,7 +24,8 @@
 //!   scoring;
 //! - [`eval`] — the harness regenerating every table and figure;
 //! - [`grammar`] — the Section 7.4 future-work pipeline: grammar mining
-//!   from pFuzzer's valid inputs and grammar-based generation;
+//!   from pFuzzer's valid inputs (generation from the mined grammar runs
+//!   through the `pdf-gen` crate);
 //! - [`obs`] — the zero-dependency observability layer: campaign
 //!   metrics, phase spans and the `pdf-metrics v1` snapshot codec
 //!   (observe-only; enabling it never changes a campaign result).
