@@ -3,10 +3,17 @@
 //! decoding them and re-encoding the values must reproduce their bytes
 //! exactly.
 
-use pdf_core::{Checkpoint, QueueItemSnapshot, QueueSnapshot};
+use pdf_core::{
+    CampaignBudget, Checkpoint, DriverConfig, Fuzzer, QueueItemSnapshot, QueueSnapshot,
+};
 
 const FULL: &str = include_str!("golden/full.ck");
 const MINIMAL: &str = include_str!("golden/minimal.ck");
+/// A real campaign's checkpoint as the v1 encoder wrote it: ini, seed 1,
+/// paused after 1,000 of 2,000 execs. Site ids hash `file!()` paths,
+/// so a replacement must be written by a program built in this
+/// workspace.
+const INI_V1: &str = include_str!("golden/ini-1k-of-2k.v1.ck");
 
 /// Every optional record present: `tier`, `mine`, a non-empty `sbr`,
 /// plus valid inputs, verdict cache, path counts and queue items.
@@ -84,4 +91,24 @@ fn golden_minimal_checkpoint_decodes_and_reencodes_byte_identically() {
     let ck = Checkpoint::decode(MINIMAL).expect("golden file decodes");
     assert_eq!(ck, minimal());
     assert_eq!(ck.encode(), MINIMAL);
+}
+
+#[test]
+fn golden_v1_campaign_checkpoint_resumes_to_the_uninterrupted_digest() {
+    let subject = pdf_subjects::ini::subject();
+    let cfg = DriverConfig {
+        seed: 1,
+        max_execs: 2_000,
+        ..DriverConfig::default()
+    };
+    let straight = Fuzzer::new(subject, cfg.clone()).run();
+    let ck = Checkpoint::decode(INI_V1).expect("v1 checkpoint decodes");
+    assert_eq!(ck.execs, 1_001);
+    let mut resumed = Fuzzer::resume_from_checkpoint(subject, cfg, &ck).expect("v1 resumes");
+    assert!(resumed
+        .run_until(&CampaignBudget::unbounded())
+        .is_finished());
+    let report = resumed.into_report();
+    assert_eq!(report.digest(), straight.digest());
+    assert_eq!(report.valid_inputs, straight.valid_inputs);
 }
