@@ -27,13 +27,26 @@
 //! per line, byte strings as hex. Unordered collections (the verdict
 //! cache, path counts) are emitted sorted, so encoding is canonical:
 //! decode ∘ encode is the identity and equal states produce equal text.
+//!
+//! Queued candidates come in families, one per failing run, that share
+//! the parent's branch set, stack depth, lineage and path. `v2` writes
+//! each family once, as a `fam` record ahead of its first member, and
+//! each `item` names its family by id. Ids are canonical: equal family
+//! fields get one id, numbered in first-seen order. A final
+//! `end n=<records before it>` record makes a cut file fail to decode,
+//! even one cut at a line boundary, instead of decoding as a smaller
+//! queue. `v1` files, one self-contained `item` per candidate and no
+//! trailer, still decode.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use pdf_runtime::record::{self, Record, Records};
 use pdf_runtime::{BranchId, BranchSet, RecordError, SiteId};
 
-const HEADER: &str = "pdf-checkpoint v1";
+const HEADER: &str = "pdf-checkpoint v2";
+const HEADER_V1: &str = "pdf-checkpoint v1";
 
 /// A serializable snapshot of one queued candidate, cached score
 /// included.
@@ -45,8 +58,9 @@ pub struct QueueItemSnapshot {
     pub seq: u64,
     /// The candidate input.
     pub input: Vec<u8>,
-    /// Branches the parent run covered up to its rejection point.
-    pub parent_branches: Vec<(u64, bool)>,
+    /// Branches the parent run covered up to its rejection point;
+    /// snapshots and decoded files share one list per family.
+    pub parent_branches: Arc<[(u64, bool)]>,
     /// Length of the replacement that produced this candidate.
     pub replacement_len: u64,
     /// Bit pattern of the parent's average stack depth.
@@ -257,6 +271,9 @@ fn opt_dec(rec: &Record<'_>, key: &str) -> Result<Option<u64>, RecordError> {
     }
 }
 
+/// A serialized branch set that the snapshots of one queue family share.
+pub(crate) type SharedBranches = Arc<[(u64, bool)]>;
+
 /// Rebuilds a [`BranchSet`] from serialized (site, outcome) pairs.
 pub(crate) fn branch_set_of(pairs: &[(u64, bool)]) -> BranchSet {
     pairs
@@ -272,7 +289,7 @@ pub(crate) fn branch_pairs_of(set: &BranchSet) -> Vec<(u64, bool)> {
 }
 
 impl Checkpoint {
-    /// Renders the checkpoint as `pdf-checkpoint v1` text.
+    /// Renders the checkpoint as `pdf-checkpoint v2` text.
     pub fn encode(&self) -> String {
         let mut out = String::new();
         record::write(&mut out, HEADER).end();
@@ -338,34 +355,63 @@ impl Checkpoint {
                 .dec("n", n)
                 .end();
         }
-        for item in &self.queue.items {
+        // every record is one line, and the header is not a record
+        let before_queue = out.matches('\n').count() - 1;
+        let mut families = 0;
+        for (item, id) in self.queue.items.iter().zip(family_ids(&self.queue.items)) {
+            if id == families {
+                families += 1;
+                record::write(&mut out, "fam")
+                    .dec("id", id as u64)
+                    .dec("par", item.num_parents)
+                    .hex("path", item.path_hash)
+                    .hex("stack", item.avg_stack_bits)
+                    .with("pb", |o| push_branches(o, &item.parent_branches))
+                    .end();
+            }
             record::write(&mut out, "item")
+                .dec("fam", id as u64)
                 .hex("score", item.score_bits)
                 .dec("seq", item.seq)
                 .dec("repl", item.replacement_len)
-                .dec("par", item.num_parents)
-                .hex("path", item.path_hash)
-                .hex("stack", item.avg_stack_bits)
-                .with("pb", |o| push_branches(o, &item.parent_branches))
                 .bytes("hex", &item.input)
                 .end();
         }
+        let records = before_queue + families + self.queue.items.len();
+        record::write(&mut out, "end")
+            .dec("n", records as u64)
+            .end();
         out
     }
 
-    /// Parses `pdf-checkpoint v1` text.
+    /// Parses `pdf-checkpoint v2` text, or `v1` text written before
+    /// queue families were shared.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Format`] on a missing header or any malformed
-    /// line.
+    /// line; in `v2` also on a missing or miscounted `end` trailer, a
+    /// record after it, or an item of an undefined family.
     pub fn decode(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let (header, records) = Records::open(text, HEADER)?;
+        let v1 = text.trim_ascii_start().starts_with(HEADER_V1);
+        let (header, records) = Records::open(text, if v1 { HEADER_V1 } else { HEADER })?;
         header.keys(&[])?;
         let mut ck = Checkpoint::default();
         let mut saw_meta = false;
+        // each family as an item with its shared fields only
+        let mut families: Vec<QueueItemSnapshot> = Vec::new();
+        let mut seen = 0u64;
+        let mut ended = false;
         for rec in records {
             let rec = rec?;
+            if ended {
+                return Err(RecordError::Integrity(format!(
+                    "`{}` record after the end trailer",
+                    rec.tag()
+                ))
+                .into());
+            }
+            seen += 1;
             match rec.tag() {
                 "meta" => {
                     rec.keys(&[
@@ -433,7 +479,7 @@ impl Checkpoint {
                     rec.keys(&["hash", "n"])?;
                     ck.queue.path_counts.push((rec.hex("hash")?, rec.dec("n")?));
                 }
-                "item" => {
+                "item" if v1 => {
                     rec.keys(&["score", "seq", "repl", "par", "path", "stack", "pb", "hex"])?;
                     ck.queue.items.push(QueueItemSnapshot {
                         score_bits: rec.hex("score")?,
@@ -442,9 +488,59 @@ impl Checkpoint {
                         num_parents: rec.dec("par")?,
                         path_hash: rec.hex("path")?,
                         avg_stack_bits: rec.hex("stack")?,
-                        parent_branches: list(&rec, "pb", parse_branch)?,
+                        parent_branches: list(&rec, "pb", parse_branch)?.into(),
                         input: rec.bytes("hex")?,
                     });
+                }
+                "fam" if !v1 => {
+                    rec.keys(&["id", "par", "path", "stack", "pb"])?;
+                    let id = rec.dec("id")?;
+                    if id != families.len() as u64 {
+                        return Err(RecordError::Integrity(format!(
+                            "family {id} defined out of order (expected {})",
+                            families.len()
+                        ))
+                        .into());
+                    }
+                    families.push(QueueItemSnapshot {
+                        score_bits: 0,
+                        seq: 0,
+                        input: Vec::new(),
+                        parent_branches: list(&rec, "pb", parse_branch)?.into(),
+                        replacement_len: 0,
+                        avg_stack_bits: rec.hex("stack")?,
+                        num_parents: rec.dec("par")?,
+                        path_hash: rec.hex("path")?,
+                    });
+                }
+                "item" => {
+                    rec.keys(&["fam", "score", "seq", "repl", "hex"])?;
+                    let id = rec.dec("fam")?;
+                    let family = usize::try_from(id)
+                        .ok()
+                        .and_then(|id| families.get(id))
+                        .ok_or_else(|| {
+                            RecordError::Integrity(format!("item of undefined family {id}"))
+                        })?;
+                    ck.queue.items.push(QueueItemSnapshot {
+                        score_bits: rec.hex("score")?,
+                        seq: rec.dec("seq")?,
+                        replacement_len: rec.dec("repl")?,
+                        input: rec.bytes("hex")?,
+                        ..family.clone()
+                    });
+                }
+                "end" if !v1 => {
+                    rec.keys(&["n"])?;
+                    let n = rec.dec("n")?;
+                    if n != seen - 1 {
+                        return Err(RecordError::Integrity(format!(
+                            "end trailer counts {n} records, the file holds {}",
+                            seen - 1
+                        ))
+                        .into());
+                    }
+                    ended = true;
                 }
                 _ => return Err(rec.unknown_tag().into()),
             }
@@ -452,8 +548,41 @@ impl Checkpoint {
         if !saw_meta {
             return Err(RecordError::Integrity("no meta record".to_string()).into());
         }
+        if !v1 && !ended {
+            return Err(
+                RecordError::Integrity("no end trailer: truncated file".to_string()).into(),
+            );
+        }
         Ok(ck)
     }
+}
+
+/// A family's branch list (by allocation or by content), parent count,
+/// path hash and stack bits.
+type FamilyKey<B> = (B, u64, u64, u64);
+
+/// The canonical family id of each of `items`: items whose parent
+/// branches, parent count, path hash and stack bits are equal share an
+/// id, and ids count up from 0 in first-seen order, so an item opens a
+/// new family exactly when its id equals the number of ids before it.
+/// Items sharing one branch-list allocation are matched without
+/// comparing the lists.
+pub(crate) fn family_ids(items: &[QueueItemSnapshot]) -> Vec<usize> {
+    let mut by_alloc: HashMap<FamilyKey<*const (u64, bool)>, usize> = HashMap::new();
+    let mut by_content: HashMap<FamilyKey<&[(u64, bool)]>, usize> = HashMap::new();
+    items
+        .iter()
+        .map(|item| {
+            let (par, path, stack) = (item.num_parents, item.path_hash, item.avg_stack_bits);
+            let alloc = (item.parent_branches.as_ptr(), par, path, stack);
+            *by_alloc.entry(alloc).or_insert_with(|| {
+                let next = by_content.len();
+                *by_content
+                    .entry((&item.parent_branches[..], par, path, stack))
+                    .or_insert(next)
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -492,7 +621,7 @@ mod tests {
                     score_bits: 4.5f64.to_bits(),
                     seq: 8,
                     input: b"1+2".to_vec(),
-                    parent_branches: vec![(1, true)],
+                    parent_branches: vec![(1, true)].into(),
                     replacement_len: 1,
                     avg_stack_bits: 1.5f64.to_bits(),
                     num_parents: 2,
@@ -623,6 +752,102 @@ mod tests {
         assert_eq!(parse("0000000000000010?"), None);
         assert_eq!(parse("000000000000001é"), None);
         assert_eq!(parse("0000000000000010+,"), None);
+    }
+
+    /// `sample()` with three more items: one in the first item's family
+    /// (its own, content-equal branch list), one that differs only in
+    /// its stack bits, and one sharing the first item's allocation.
+    fn families() -> Checkpoint {
+        let mut ck = sample();
+        let first = ck.queue.items[0].clone();
+        let mut twin = first.clone();
+        twin.seq = 9;
+        twin.parent_branches = first.parent_branches.to_vec().into();
+        let mut other = first.clone();
+        other.seq = 10;
+        other.avg_stack_bits = 0.5f64.to_bits();
+        let mut shared = first.clone();
+        shared.seq = 11;
+        ck.queue.items.extend([twin, other, shared]);
+        ck.queue.seq = 12;
+        ck
+    }
+
+    fn integrity(text: &str) -> bool {
+        matches!(
+            Checkpoint::decode(text),
+            Err(CheckpointError::Format(RecordError::Integrity(_)))
+        )
+    }
+
+    #[test]
+    fn families_are_written_once_and_shared_on_decode() {
+        let ck = families();
+        assert_eq!(family_ids(&ck.queue.items), vec![0, 0, 1, 0]);
+        let text = ck.encode();
+        assert_eq!(text.matches("\nfam ").count(), 2, "{text}");
+        assert!(text.contains("\nfam id=1 par=2 "), "{text}");
+        assert!(text.ends_with("\nend n=19\n"), "{text}");
+        let decoded = Checkpoint::decode(&text).expect("decodes");
+        assert_eq!(decoded, ck);
+        assert_eq!(decoded.encode(), text);
+        let items = &decoded.queue.items;
+        assert!(Arc::ptr_eq(
+            &items[0].parent_branches,
+            &items[1].parent_branches
+        ));
+        assert!(Arc::ptr_eq(
+            &items[0].parent_branches,
+            &items[3].parent_branches
+        ));
+        assert!(!Arc::ptr_eq(
+            &items[0].parent_branches,
+            &items[2].parent_branches
+        ));
+    }
+
+    #[test]
+    fn damaged_family_tables_and_trailers_are_integrity_errors() {
+        let text = families().encode();
+        let body = text.strip_suffix("end n=19\n").unwrap();
+        for bad in [
+            body.to_string(),
+            format!("{body}end n=18\n"),
+            format!("{text}end n=19\n"),
+            format!("{text}inv hex=28\n"),
+            text.replacen("item fam=1 ", "item fam=2 ", 1),
+            text.replacen("item fam=0 ", "item fam=18446744073709551615 ", 1),
+            text.replacen("fam id=1 ", "fam id=0 ", 1),
+        ] {
+            assert!(integrity(&bad), "accepted:\n{bad}");
+            assert_eq!(
+                Checkpoint::decode(&bad).unwrap_err().class(),
+                ErrorClass::Corrupt
+            );
+        }
+        // a value past u64 does not parse at all
+        assert!(Checkpoint::decode(&text.replacen("fam=0 ", "fam=x ", 1)).is_err());
+    }
+
+    #[test]
+    fn v1_items_decode_and_reencode_as_v2() {
+        let v1 = format!(
+            "{HEADER_V1}\nmeta subject=x cfg=0000000000000000 seed=0 draws=0 primed=0 execs=0 \
+             events=0 hangs=0 crashes=0 first=- parents=0 qseq=2 qvbr=0 qpops=0\n\
+             vbr set=-\nabr set=-\nsbr set=-\n\
+             item score=0000000000000000 seq=0 repl=1 par=0 path=0000000000000001 \
+             stack=0000000000000000 pb=0000000000000001+ hex=61\n\
+             item score=0000000000000000 seq=1 repl=1 par=0 path=0000000000000001 \
+             stack=0000000000000000 pb=0000000000000001+ hex=62\n"
+        );
+        let ck = Checkpoint::decode(&v1).expect("v1 decodes");
+        assert_eq!(ck.queue.items.len(), 2);
+        assert_eq!(family_ids(&ck.queue.items), vec![0, 0]);
+        let v2 = ck.encode();
+        assert!(v2.starts_with(HEADER) && v2.contains("\nfam id=0 ") && !v2.contains("fam id=1"));
+        // v2 record shapes are not v1's
+        assert!(Checkpoint::decode(&v1.replace(HEADER_V1, HEADER)).is_err());
+        assert!(Checkpoint::decode(&v2.replace(HEADER, HEADER_V1)).is_err());
     }
 
     #[test]

@@ -10,13 +10,11 @@ use pdf_runtime::{
 };
 
 use crate::budget::{CampaignBudget, StopReason, DEADLINE_CHECK_INTERVAL};
-use crate::checkpoint::{
-    branch_pairs_of, branch_set_of, Checkpoint, CheckpointError, QueueItemSnapshot, QueueSnapshot,
-};
+use crate::checkpoint::{branch_pairs_of, branch_set_of, Checkpoint, CheckpointError};
 use crate::config::{
     DriverConfig, ExecMode, ExtensionMode, HeuristicConfig, SearchMode, MAX_INPUT_LEN,
 };
-use crate::queue::{CandidateQueue, Family, QueueEntry, QueueState};
+use crate::queue::{CandidateQueue, Family, QueueEntry};
 
 /// Cap on the candidate queue; when exceeded, the worst half is dropped.
 const QUEUE_HIGH_WATER: usize = 8_192;
@@ -757,7 +755,6 @@ impl Fuzzer {
             ),
         };
         let st = &self.state;
-        let qs = st.queue.snapshot_state();
         let mut known_invalid: Vec<Vec<u8>> = st.known_invalid.iter().cloned().collect();
         known_invalid.sort();
         Checkpoint {
@@ -792,26 +789,7 @@ impl Fuzzer {
                 .iter()
                 .map(|(tok, &count)| (tok.clone(), count))
                 .collect(),
-            queue: QueueSnapshot {
-                seq: qs.seq,
-                last_vbr_len: qs.last_vbr_len as u64,
-                pops_since_rebuild: qs.pops_since_rebuild as u64,
-                path_counts: qs.path_counts.iter().map(|&(h, n)| (h, n as u64)).collect(),
-                items: qs
-                    .items
-                    .into_iter()
-                    .map(|(score, seq, e)| QueueItemSnapshot {
-                        score_bits: score.to_bits(),
-                        seq,
-                        input: e.input,
-                        parent_branches: branch_pairs_of(&e.parent_branches),
-                        replacement_len: e.replacement_len as u64,
-                        avg_stack_bits: e.avg_stack.to_bits(),
-                        num_parents: e.num_parents as u64,
-                        path_hash: e.path_hash,
-                    })
-                    .collect(),
-            },
+            queue: st.queue.snapshot_state(),
         }
     }
 
@@ -879,39 +857,7 @@ impl Fuzzer {
             decisions: Vec::new(),
             mined_tokens: Vec::new(),
         };
-        let queue = CandidateQueue::restore_state(
-            cfg.heuristic,
-            QueueState {
-                items: ck
-                    .queue
-                    .items
-                    .iter()
-                    .map(|i| {
-                        (
-                            f64::from_bits(i.score_bits),
-                            i.seq,
-                            QueueEntry {
-                                input: i.input.clone(),
-                                parent_branches: branch_set_of(&i.parent_branches),
-                                replacement_len: i.replacement_len as usize,
-                                avg_stack: f64::from_bits(i.avg_stack_bits),
-                                num_parents: i.num_parents as usize,
-                                path_hash: i.path_hash,
-                            },
-                        )
-                    })
-                    .collect(),
-                path_counts: ck
-                    .queue
-                    .path_counts
-                    .iter()
-                    .map(|&(h, n)| (h, n as usize))
-                    .collect(),
-                seq: ck.queue.seq,
-                last_vbr_len: ck.queue.last_vbr_len as usize,
-                pops_since_rebuild: ck.queue.pops_since_rebuild as usize,
-            },
-        );
+        let queue = CandidateQueue::restore_state(cfg.heuristic, ck.queue.clone());
         // Pre-fleet checkpoints have no steering record; vBr is the
         // correct fallback (they are equal outside a fleet).
         let mut steer_branches = branch_set_of(&ck.steer_branches);

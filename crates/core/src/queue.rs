@@ -2,11 +2,14 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use pdf_runtime::BranchSet;
 
+use crate::checkpoint::{branch_pairs_of, branch_set_of, family_ids, SharedBranches};
 use crate::config::HeuristicConfig;
 use crate::heuristic::score_parts;
+use crate::{QueueItemSnapshot, QueueSnapshot};
 
 /// A not-yet-executed candidate input plus everything needed to
 /// (re-)compute its heuristic value without re-running it (Section 3.2:
@@ -68,15 +71,6 @@ impl Family {
             num_parents: self.num_parents,
             path_hash: self.path_hash,
         }
-    }
-
-    /// Bitwise equality: families regrouped on restore must snapshot to
-    /// the same records they were restored from.
-    fn same_as(&self, other: &Family) -> bool {
-        self.parent_branches == other.parent_branches
-            && self.avg_stack.to_bits() == other.avg_stack.to_bits()
-            && self.num_parents == other.num_parents
-            && self.path_hash == other.path_hash
     }
 }
 
@@ -143,25 +137,6 @@ impl Ord for HeapItem {
 /// drifting path-seen counts. Rescoring against a changed `vBr` happens
 /// immediately.
 const REBUILD_INTERVAL: usize = 256;
-
-/// A plain-data image of the queue's complete state, used by campaign
-/// checkpointing. Items carry their *cached* scores: scores are only
-/// recomputed at rebuild points, so a restored queue must reproduce the
-/// stale values bit-exactly or pop order could differ between a resumed
-/// and an uninterrupted campaign.
-#[derive(Debug, Clone)]
-pub(crate) struct QueueState {
-    /// `(cached score, insertion seq, entry)`, sorted by seq.
-    pub items: Vec<(f64, u64, QueueEntry)>,
-    /// Path-seen counters, sorted by path hash.
-    pub path_counts: Vec<(u64, usize)>,
-    /// Next insertion sequence number.
-    pub seq: u64,
-    /// `vBr` size at the last rescoring.
-    pub last_vbr_len: usize,
-    /// Pops since the last rescoring.
-    pub pops_since_rebuild: usize,
-}
 
 /// Max-priority queue over [`QueueEntry`], scored by
 /// [`score`](crate::score).
@@ -430,65 +405,89 @@ impl CandidateQueue {
         self.heap = BinaryHeap::from(items);
     }
 
-    /// Captures the queue's complete state for a checkpoint. The heap is
-    /// flattened in insertion order, one record per candidate (families
-    /// are an in-memory layout); because [`HeapItem`]'s ordering is a
-    /// pure function of the queued set, re-pushing the items in any order
-    /// reproduces the exact pop sequence.
-    pub(crate) fn snapshot_state(&self) -> QueueState {
-        let mut items: Vec<(f64, u64, QueueEntry)> = self
+    /// Captures the queue's complete state for a checkpoint, items in
+    /// insertion order. Items carry their *cached* scores: scores are
+    /// only recomputed at rebuild points, so a restored queue must
+    /// reproduce the stale values bit-exactly or pop order could differ
+    /// between a resumed and an uninterrupted campaign. Each live
+    /// family's branch set is flattened once and shared by its members.
+    /// Because [`HeapItem`]'s ordering is a pure function of the queued
+    /// set, re-pushing the items in any order reproduces the exact pop
+    /// sequence.
+    pub(crate) fn snapshot_state(&self) -> QueueSnapshot {
+        let mut shared: Vec<Option<SharedBranches>> = vec![None; self.families.len()];
+        let mut items: Vec<QueueItemSnapshot> = self
             .heap
             .iter()
             .map(|i| {
                 let family = &self.families[i.family].family;
-                let entry = family.entry(
-                    family.parent_branches.clone(),
-                    i.input.clone(),
-                    i.replacement_len,
-                );
-                (i.score, i.seq, entry)
+                let branches = shared[i.family]
+                    .get_or_insert_with(|| branch_pairs_of(&family.parent_branches).into());
+                QueueItemSnapshot {
+                    score_bits: i.score.to_bits(),
+                    seq: i.seq,
+                    input: i.input.clone(),
+                    parent_branches: Arc::clone(branches),
+                    replacement_len: i.replacement_len as u64,
+                    avg_stack_bits: family.avg_stack.to_bits(),
+                    num_parents: family.num_parents as u64,
+                    path_hash: family.path_hash,
+                }
             })
             .collect();
-        items.sort_by_key(|&(_, seq, _)| seq);
-        let mut path_counts: Vec<(u64, usize)> =
-            self.path_counts.iter().map(|(&k, &v)| (k, v)).collect();
+        items.sort_by_key(|i| i.seq);
+        let mut path_counts: Vec<(u64, u64)> = self
+            .path_counts
+            .iter()
+            .map(|(&k, &v)| (k, v as u64))
+            .collect();
         path_counts.sort_unstable();
-        QueueState {
+        QueueSnapshot {
             items,
             path_counts,
             seq: self.seq,
-            last_vbr_len: self.last_vbr_len,
-            pops_since_rebuild: self.pops_since_rebuild,
+            last_vbr_len: self.last_vbr_len as u64,
+            pops_since_rebuild: self.pops_since_rebuild as u64,
         }
     }
 
     /// Rebuilds a queue from a snapshot, preserving cached scores and
     /// rebuild counters verbatim (no rescoring — see
-    /// [`snapshot_state`](Self::snapshot_state)). Adjacent items with
-    /// equal family fields share one family again.
-    pub(crate) fn restore_state(cfg: HeuristicConfig, state: QueueState) -> Self {
+    /// [`snapshot_state`](Self::snapshot_state)). Items with the same
+    /// canonical family id ([`family_ids`]) share one family again.
+    pub(crate) fn restore_state(cfg: HeuristicConfig, state: QueueSnapshot) -> Self {
         let mut q = CandidateQueue::new(cfg);
+        let ids = family_ids(&state.items);
         let mut items = Vec::with_capacity(state.items.len());
-        for (score, seq, entry) in state.items {
-            let (family, input, replacement_len) = Family::split(entry);
-            let id = match q.families.last() {
-                Some(last) if last.family.same_as(&family) => q.families.len() - 1,
-                _ => q.open(family),
-            };
+        for (item, id) in state.items.into_iter().zip(ids) {
+            // ids count up in first-seen order, so slot `id` is the
+            // family's (a fresh queue has no free slot to reuse)
+            if id == q.families.len() {
+                q.open(Family {
+                    parent_branches: branch_set_of(&item.parent_branches),
+                    avg_stack: f64::from_bits(item.avg_stack_bits),
+                    num_parents: item.num_parents as usize,
+                    path_hash: item.path_hash,
+                });
+            }
             q.families[id].live += 1;
             items.push(HeapItem {
-                score,
-                seq,
-                input,
-                replacement_len,
+                score: f64::from_bits(item.score_bits),
+                seq: item.seq,
+                input: item.input,
+                replacement_len: item.replacement_len as usize,
                 family: id,
             });
         }
         q.heap = BinaryHeap::from(items);
-        q.path_counts = state.path_counts.into_iter().collect();
+        q.path_counts = state
+            .path_counts
+            .into_iter()
+            .map(|(h, n)| (h, n as usize))
+            .collect();
         q.seq = state.seq;
-        q.last_vbr_len = state.last_vbr_len;
-        q.pops_since_rebuild = state.pops_since_rebuild;
+        q.last_vbr_len = state.last_vbr_len as usize;
+        q.pops_since_rebuild = state.pops_since_rebuild as usize;
         q
     }
 }
@@ -498,9 +497,11 @@ impl CandidateQueue {
 /// side by side with [`CandidateQueue`] as the pop-order oracle.
 #[cfg(test)]
 mod reference {
-    use super::{QueueEntry, QueueState, REBUILD_INTERVAL};
+    use super::{QueueEntry, REBUILD_INTERVAL};
+    use crate::checkpoint::{branch_pairs_of, branch_set_of};
     use crate::config::HeuristicConfig;
     use crate::heuristic::score;
+    use crate::{QueueItemSnapshot, QueueSnapshot};
     use pdf_runtime::BranchSet;
     use std::cmp::Ordering;
     use std::collections::{BinaryHeap, HashMap};
@@ -649,38 +650,65 @@ mod reference {
             self.heap = kept;
         }
 
-        pub(super) fn snapshot_state(&self) -> QueueState {
-            let mut items: Vec<(f64, u64, QueueEntry)> = self
+        pub(super) fn snapshot_state(&self) -> QueueSnapshot {
+            let mut items: Vec<QueueItemSnapshot> = self
                 .heap
                 .iter()
-                .map(|i| (i.score, i.seq, i.entry.clone()))
+                .map(|i| QueueItemSnapshot {
+                    score_bits: i.score.to_bits(),
+                    seq: i.seq,
+                    input: i.entry.input.clone(),
+                    parent_branches: branch_pairs_of(&i.entry.parent_branches).into(),
+                    replacement_len: i.entry.replacement_len as u64,
+                    avg_stack_bits: i.entry.avg_stack.to_bits(),
+                    num_parents: i.entry.num_parents as u64,
+                    path_hash: i.entry.path_hash,
+                })
                 .collect();
-            items.sort_by_key(|&(_, seq, _)| seq);
-            let mut path_counts: Vec<(u64, usize)> =
-                self.path_counts.iter().map(|(&k, &v)| (k, v)).collect();
+            items.sort_by_key(|i| i.seq);
+            let mut path_counts: Vec<(u64, u64)> = self
+                .path_counts
+                .iter()
+                .map(|(&k, &v)| (k, v as u64))
+                .collect();
             path_counts.sort_unstable();
-            QueueState {
+            QueueSnapshot {
                 items,
                 path_counts,
                 seq: self.seq,
-                last_vbr_len: self.last_vbr_len,
-                pops_since_rebuild: self.pops_since_rebuild,
+                last_vbr_len: self.last_vbr_len as u64,
+                pops_since_rebuild: self.pops_since_rebuild as u64,
             }
         }
 
-        pub(super) fn restore_state(cfg: HeuristicConfig, state: QueueState) -> Self {
+        pub(super) fn restore_state(cfg: HeuristicConfig, state: QueueSnapshot) -> Self {
             let heap = state
                 .items
                 .into_iter()
-                .map(|(score, seq, entry)| Item { score, seq, entry })
+                .map(|i| Item {
+                    score: f64::from_bits(i.score_bits),
+                    seq: i.seq,
+                    entry: QueueEntry {
+                        input: i.input,
+                        parent_branches: branch_set_of(&i.parent_branches),
+                        replacement_len: i.replacement_len as usize,
+                        avg_stack: f64::from_bits(i.avg_stack_bits),
+                        num_parents: i.num_parents as usize,
+                        path_hash: i.path_hash,
+                    },
+                })
                 .collect();
             ReferenceQueue {
                 heap,
-                path_counts: state.path_counts.into_iter().collect(),
+                path_counts: state
+                    .path_counts
+                    .into_iter()
+                    .map(|(h, n)| (h, n as usize))
+                    .collect(),
                 cfg,
                 seq: state.seq,
-                last_vbr_len: state.last_vbr_len,
-                pops_since_rebuild: state.pops_since_rebuild,
+                last_vbr_len: state.last_vbr_len as usize,
+                pops_since_rebuild: state.pops_since_rebuild as usize,
             }
         }
     }
@@ -896,9 +924,9 @@ mod tests {
         assert_eq!(state.last_vbr_len, state2.last_vbr_len);
         assert_eq!(state.path_counts, state2.path_counts);
         for (a, b) in state.items.iter().zip(&state2.items) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "cached score drifted");
-            assert_eq!(a.1, b.1);
-            assert_eq!(a.2.input, b.2.input);
+            assert_eq!(a.score_bits, b.score_bits, "cached score drifted");
+            assert_eq!(a.seq, b.seq);
+            assert_eq!(a.input, b.input);
         }
     }
 
@@ -947,17 +975,27 @@ mod tests {
 
     type ComparableState = (
         Vec<(u64, u64, (Vec<u8>, BranchSet, usize, u64, usize, u64))>,
-        Vec<(u64, usize)>,
+        Vec<(u64, u64)>,
         u64,
-        usize,
-        usize,
+        u64,
+        u64,
     );
 
-    fn comparable_state(s: &QueueState) -> ComparableState {
+    fn comparable_state(s: &QueueSnapshot) -> ComparableState {
         (
             s.items
                 .iter()
-                .map(|(score, seq, e)| (score.to_bits(), *seq, comparable(e)))
+                .map(|i| {
+                    let e = QueueEntry {
+                        input: i.input.clone(),
+                        parent_branches: branch_set_of(&i.parent_branches),
+                        replacement_len: i.replacement_len as usize,
+                        avg_stack: f64::from_bits(i.avg_stack_bits),
+                        num_parents: i.num_parents as usize,
+                        path_hash: i.path_hash,
+                    };
+                    (i.score_bits, i.seq, comparable(&e))
+                })
                 .collect(),
             s.path_counts.clone(),
             s.seq,

@@ -1,14 +1,17 @@
-//! Golden-file tests for the `pdf-checkpoint v1` codec: the committed
-//! files were written by the encoder this format shipped with, so
-//! decoding them and re-encoding the values must reproduce their bytes
-//! exactly.
+//! Golden-file tests for the `pdf-checkpoint` codec. The `v1` files
+//! were written by the encoder that format shipped with and must still
+//! decode to the same values; the `v2` files hold the same values as the
+//! current encoder writes them, so decoding them and re-encoding must
+//! reproduce their bytes exactly.
 
 use pdf_core::{
-    CampaignBudget, Checkpoint, DriverConfig, Fuzzer, QueueItemSnapshot, QueueSnapshot,
+    CampaignBudget, Checkpoint, DriverConfig, ErrorClass, Fuzzer, QueueItemSnapshot, QueueSnapshot,
 };
 
 const FULL: &str = include_str!("golden/full.ck");
 const MINIMAL: &str = include_str!("golden/minimal.ck");
+const FULL_V2: &str = include_str!("golden/full.v2.ck");
+const MINIMAL_V2: &str = include_str!("golden/minimal.v2.ck");
 /// A real campaign's checkpoint as the v1 encoder wrote it: ini, seed 1,
 /// paused after 1,000 of 2,000 execs. Site ids hash `file!()` paths,
 /// so a replacement must be written by a program built in this
@@ -50,7 +53,7 @@ fn full() -> Checkpoint {
                     score_bits: (0.1f64 + 0.2f64).to_bits(),
                     seq: 7,
                     input: b"1+2".to_vec(),
-                    parent_branches: vec![(1, true), (2, false)],
+                    parent_branches: vec![(1, true), (2, false)].into(),
                     replacement_len: 1,
                     avg_stack_bits: 1.5f64.to_bits(),
                     num_parents: 2,
@@ -60,7 +63,7 @@ fn full() -> Checkpoint {
                     score_bits: (-4.5f64).to_bits(),
                     seq: 8,
                     input: Vec::new(),
-                    parent_branches: Vec::new(),
+                    parent_branches: Vec::new().into(),
                     replacement_len: 0,
                     avg_stack_bits: 0,
                     num_parents: 0,
@@ -83,14 +86,38 @@ fn minimal() -> Checkpoint {
 fn golden_full_checkpoint_decodes_and_reencodes_byte_identically() {
     let ck = Checkpoint::decode(FULL).expect("golden file decodes");
     assert_eq!(ck, full());
-    assert_eq!(ck.encode(), FULL);
+    assert_eq!(ck.encode(), FULL_V2);
 }
 
 #[test]
 fn golden_minimal_checkpoint_decodes_and_reencodes_byte_identically() {
     let ck = Checkpoint::decode(MINIMAL).expect("golden file decodes");
     assert_eq!(ck, minimal());
-    assert_eq!(ck.encode(), MINIMAL);
+    assert_eq!(ck.encode(), MINIMAL_V2);
+}
+
+#[test]
+fn golden_v2_checkpoints_decode_and_reencode_byte_identically() {
+    for (text, value) in [(FULL_V2, full()), (MINIMAL_V2, minimal())] {
+        let ck = Checkpoint::decode(text).expect("golden file decodes");
+        assert_eq!(ck, value);
+        assert_eq!(ck.encode(), text);
+    }
+}
+
+#[test]
+fn golden_v2_checkpoints_cut_at_any_byte_are_refused_as_corrupt() {
+    for (text, value) in [(FULL_V2, full()), (MINIMAL_V2, minimal())] {
+        let whole = text.len();
+        for cut in 0..whole {
+            match Checkpoint::decode(&text[..cut]) {
+                // the trailer's own newline is the only byte a file can lose
+                Ok(ck) => assert!(cut == whole - 1 && ck == value, "cut at {cut} decoded"),
+                Err(e) => assert_eq!(e.class(), ErrorClass::Corrupt, "cut at {cut}: {e}"),
+            }
+        }
+        assert!(Checkpoint::decode(&text[..whole - 1]).is_ok());
+    }
 }
 
 #[test]
@@ -104,6 +131,7 @@ fn golden_v1_campaign_checkpoint_resumes_to_the_uninterrupted_digest() {
     let straight = Fuzzer::new(subject, cfg.clone()).run();
     let ck = Checkpoint::decode(INI_V1).expect("v1 checkpoint decodes");
     assert_eq!(ck.execs, 1_001);
+    assert_eq!(Checkpoint::decode(&ck.encode()).expect("v2 decodes"), ck);
     let mut resumed = Fuzzer::resume_from_checkpoint(subject, cfg, &ck).expect("v1 resumes");
     assert!(resumed
         .run_until(&CampaignBudget::unbounded())

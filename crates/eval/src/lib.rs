@@ -102,9 +102,11 @@ fn budget_in(args: &[String], default_execs: u64) -> Result<EvalBudget, String> 
     })
 }
 
-/// Parses the evaluation budget from the command line — see
-/// [`budget_in`] — exiting with status 2 on a bad value. Used by the
-/// experiment binaries.
+/// Parses `--execs N`, `--seeds a,b,c` and `--afl-mult N` from the
+/// command line, falling back to `default_execs` and the
+/// [`EvalBudget`] defaults for absent flags, and exits with status 2
+/// on a missing, malformed or zero value. Used by the experiment
+/// binaries.
 pub fn budget_from_args(default_execs: u64) -> EvalBudget {
     let args: Vec<String> = std::env::args().collect();
     require_arg(budget_in(&args, default_execs))
@@ -261,8 +263,9 @@ fn supervisor_in(args: &[String]) -> Result<SupervisorConfig, String> {
     }
 }
 
-/// Parses `--max-retries N` from the command line — see
-/// [`supervisor_in`] — exiting with status 2 on a bad value.
+/// Parses `--max-retries N` from the command line, defaulting to
+/// [`SupervisorConfig::default`], and exits with status 2 on a missing
+/// or malformed value; zero is legal and disables retries.
 pub fn supervisor_from_args() -> SupervisorConfig {
     let args: Vec<String> = std::env::args().collect();
     require_arg(supervisor_in(&args))

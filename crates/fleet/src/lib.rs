@@ -13,7 +13,7 @@
 //!
 //! The fleet preserves the workspace's determinism contract end to
 //! end — see [`Fleet`] for the exact statement — and checkpoints as a
-//! directory of per-shard `pdf-checkpoint v1` files plus a
+//! directory of per-shard `pdf-checkpoint v2` files plus a
 //! [`pdf-fleet v1` manifest](FleetManifest).
 //!
 //! # Example

@@ -1,6 +1,6 @@
 //! The `pdf-fleet v1` manifest codec plus the crate's error type.
 //!
-//! A fleet checkpoint is a directory: one `pdf-checkpoint v1` file per
+//! A fleet checkpoint is a directory: one `pdf-checkpoint v2` file per
 //! shard (`shard-NN.ck`, written by the existing
 //! [`Fuzzer::checkpoint_to`](pdf_core::Fuzzer::checkpoint_to)) plus one
 //! `fleet.manifest` file holding the coordinator's own state — the

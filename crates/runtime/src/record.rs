@@ -1,6 +1,6 @@
 //! One codec kernel under the six at-rest line formats (`pdf-journal`,
 //! `pdf-checkpoint`, `pdf-fleet`, `pdf-serve`, `pdf-dict`,
-//! `pdf-grammar`). A file is a `name v1` header line with optional
+//! `pdf-grammar`). A file is a `name vN` header line with optional
 //! `key=value` fields, then one `tag key=value ...` record per line;
 //! blank and `#` lines are skipped. Values hold no whitespace. Field
 //! kinds: decimal `u64`, 16-digit hex `u64`, hex bytes and raw tokens.
@@ -118,7 +118,7 @@ fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Starts a record line (or a whole `name v1` header) in `out`; add
+/// Starts a record line (or a whole `name vN` header) in `out`; add
 /// fields, then [`RecordWriter::end`] it.
 pub fn write<'a>(out: &'a mut String, tag: &str) -> RecordWriter<'a> {
     out.push_str(tag);
@@ -213,7 +213,7 @@ impl<'a> Record<'a> {
         Record::new(line, tag, fields).map(Some)
     }
 
-    /// Parses a header line: `header` (`name v1`) plus optional fields;
+    /// Parses a header line: `header` (`name vN`) plus optional fields;
     /// [`RecordError::Header`] if it is another header.
     pub fn parse_header(text: &'a str, header: &'a str) -> Result<Record<'a>, RecordError> {
         let fields = text
@@ -224,7 +224,7 @@ impl<'a> Record<'a> {
         Record::new(0, header, fields)
     }
 
-    /// The leading tag (for a header, its `name v1`).
+    /// The leading tag (for a header, its `name vN`).
     pub fn tag(&self) -> &'a str {
         self.tag
     }

@@ -112,7 +112,8 @@ pub enum ServeError {
     BadSpec(String),
     /// The daemon is shutting down and accepts no new work.
     Stopping,
-    /// The admission cap is reached; retry after the given delay.
+    /// The admission cap is reached, or the new campaign's meta could
+    /// not be written; retry after the given delay.
     Overloaded {
         /// How long the client should back off before resubmitting,
         /// in milliseconds.
@@ -324,17 +325,23 @@ fn decode_meta(text: &str) -> std::io::Result<CampaignStatus> {
     status_from_fields(&fields).map_err(|e| invalid(e.to_string()))
 }
 
+/// The retry hint for a submit refused because its meta did not land:
+/// one short step, since the next write may well succeed.
+const META_RETRY_MS: u64 = 25;
+
 impl Inner {
-    /// Writes the campaign's meta file atomically (tmp + rename).
+    /// Writes the campaign's meta file atomically (tmp + rename) and
+    /// reports whether it landed (trivially so without a state
+    /// directory).
     ///
     /// A failed write (real or injected) degrades instead of
-    /// panicking: the previous meta stays in place, the
-    /// `serve.write_degraded` counter ticks, and the next slice
-    /// boundary retries — the restart contract already tolerates a meta
-    /// one boundary behind.
-    fn persist_meta(&self, c: &Campaign) {
+    /// panicking: the previous meta stays in place and the
+    /// `serve.write_degraded` counter ticks. At a slice boundary the
+    /// next boundary retries — the restart contract already tolerates a
+    /// meta one boundary behind; a submit is refused instead.
+    fn persist_meta(&self, c: &Campaign) -> bool {
         let Some(state_dir) = &self.cfg.state_dir else {
-            return;
+            return true;
         };
         let dir = campaign_dir(state_dir, c.id);
         let tmp = dir.join("meta.tmp");
@@ -351,6 +358,7 @@ impl Inner {
         if wrote.is_err() {
             self.registry.serve_write_degraded.inc();
         }
+        wrote.is_ok()
     }
 
     /// Journals and applies one lifecycle transition. The journal write
@@ -742,7 +750,10 @@ impl Daemon {
     ///
     /// [`ServeError::BadSpec`] / [`ServeError::UnknownSubject`] on an
     /// unrunnable spec, [`ServeError::Stopping`] during shutdown,
-    /// [`ServeError::Overloaded`] past the admission cap.
+    /// [`ServeError::Overloaded`] past the admission cap, or when the
+    /// campaign's meta could not be written: recovery rebuilds
+    /// campaigns from their metas, so an acknowledged campaign must
+    /// have one.
     pub fn submit(&self, spec: CampaignSpec) -> Result<u64, ServeError> {
         if self.inner.stopping.load(Ordering::SeqCst) {
             return Err(ServeError::Stopping);
@@ -779,9 +790,18 @@ impl Daemon {
             }
         }
         let id = st.next_id;
-        st.next_id += 1;
         let c = Campaign::fresh(id, spec);
-        self.inner.persist_meta(&c);
+        if !self.inner.persist_meta(&c) {
+            // Nothing durable names `id` or the idempotency key, so the
+            // next submit takes both.
+            if let Some(state_dir) = &self.inner.cfg.state_dir {
+                let _ = std::fs::remove_dir_all(campaign_dir(state_dir, id));
+            }
+            return Err(ServeError::Overloaded {
+                retry_after_ms: META_RETRY_MS,
+            });
+        }
+        st.next_id += 1;
         st.campaigns.insert(id, c);
         self.inner.registry.serve_submitted.inc();
         self.inner.work.notify_one();
@@ -1230,6 +1250,47 @@ mod tests {
         assert_eq!(status.phase, Phase::Done, "{:?}", status.error);
         assert_eq!(status.digest, Some(uninterrupted.digest()));
         assert_eq!(daemon.registry().serve_checkpoint_quarantined.get(), 2);
+        daemon.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn submit_whose_meta_cannot_land_is_refused_as_retryable() {
+        let dir = tmpdir("meta-enospc");
+        let full_disk = Arc::new(FaultPlan::new(
+            1,
+            pdf_chaos::FaultSpec {
+                enospc_per_mille: 1000,
+                ..pdf_chaos::FaultSpec::QUIET
+            },
+        ));
+        let spec = CampaignSpec {
+            idempotency_key: Some("k1".into()),
+            ..small_spec("arith", 3)
+        };
+        let daemon =
+            Daemon::open(DaemonConfig::persistent(1, &dir).with_faults(full_disk)).unwrap();
+        assert_eq!(
+            daemon.submit(spec.clone()),
+            Err(ServeError::Overloaded {
+                retry_after_ms: META_RETRY_MS
+            })
+        );
+        assert!(daemon.list().is_empty());
+        assert_eq!(daemon.registry().serve_write_degraded.get(), 1);
+        assert_eq!(daemon.registry().serve_shed.get(), 0);
+        daemon.shutdown();
+        drop(daemon);
+        let left: Vec<_> = std::fs::read_dir(campaigns_root(&dir)).unwrap().collect();
+        assert!(left.is_empty(), "{left:?}");
+
+        let daemon = Daemon::open(DaemonConfig::persistent(1, &dir)).unwrap();
+        assert!(daemon.list().is_empty());
+        let id = daemon.submit(spec.clone()).unwrap();
+        assert_eq!(id, 1);
+        assert_eq!(daemon.submit(spec).unwrap(), id, "the key is recorded now");
+        assert!(campaign_dir(&dir, id).join("meta").exists());
+        assert!(daemon.wait_idle(Duration::from_secs(60)));
         daemon.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
