@@ -119,6 +119,24 @@ pub enum ExecMode {
     Tiered,
 }
 
+impl ExecMode {
+    /// The mode's name on the command line and the wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Full => "full",
+            ExecMode::Tiered => "tiered",
+        }
+    }
+
+    /// The mode named `s`, matched case-insensitively (`FULL` and
+    /// `Tiered` both work). The retired `fast` mode is unknown.
+    pub fn parse(s: &str) -> Option<ExecMode> {
+        [ExecMode::Full, ExecMode::Tiered]
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(s))
+    }
+}
+
 /// Inputs longer than this are not extended further (guard against
 /// permissive subjects where everything is valid).
 pub const MAX_INPUT_LEN: usize = 128;

@@ -2,15 +2,17 @@
 //! Table 1, Tables 2–4, Figure 2, Figure 3, the Section 5.3 headline
 //! and the per-token discovery costs. (Figure 1 is the
 //! `arith_walkthrough` example.)
-//! Usage: evalrunner [--execs N] [--seeds a,b,c] [--afl-mult N]
-//!                   [--jobs N] [--exec-mode full|tiered]
-//!                   [--stats-out PATH]
-//!                   [--record PATH] [--replay PATH]
-//!                   [--max-retries N] [--chaos SEED]
-//!                   [--metrics-out PATH] [--progress]
-//!                   [--submit ADDR] [--shards N]
-//!                   [--dict-out PATH] [--dict-in PATH]
-//!                   [--grammar-out DIR] [--grammar-in DIR]
+//! Usage: evalrunner [--execs N] [--seeds a,b,c] [--afl-mult N] [--jobs N]
+//!                   [--exec-mode full|tiered] [--stats-out PATH]
+//!                   [--record PATH] [--replay PATH] [--max-retries N]
+//!                   [--chaos SEED] [--metrics-out PATH] [--progress]
+//!                   [--submit ADDR] [--shards N] [--dict-out PATH]
+//!                   [--dict-in PATH] [--grammar-out DIR] [--grammar-in DIR]
+//!
+//! `--replay`, `--submit`, `--dict-out`, `--dict-in`, `--grammar-out`
+//! and `--grammar-in` each replace the matrix run with another run; at
+//! most one may be given. An unknown, repeated or malformed flag exits 2
+//! with this usage before anything runs.
 //!
 //! `--jobs N` fans the (subject, tool, seed) matrix cells out over N
 //! worker threads; results are identical to `--jobs 1`. `--stats-out`
@@ -68,66 +70,81 @@
 //! atomic counters and never touch the fuzzers' random-byte chokepoint,
 //! so enabling them cannot change any campaign result or replay digest.
 
+use std::path::Path;
 use std::sync::Arc;
 
+use pdf_runtime::cli::Args;
+
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: evalrunner [--execs N] [--seeds a,b,c] [--afl-mult N] [--jobs N]
+                  [--exec-mode full|tiered] [--stats-out PATH]
+                  [--record PATH] [--replay PATH] [--max-retries N]
+                  [--chaos SEED] [--metrics-out PATH] [--progress]
+                  [--submit ADDR] [--shards N] [--dict-out PATH]
+                  [--dict-in PATH] [--grammar-out DIR] [--grammar-in DIR]";
+
+/// The flags that replace the matrix run with another one; at most one
+/// may be given.
+const MODES: [&str; 6] = [
+    "--replay",
+    "--submit",
+    "--dict-out",
+    "--dict-in",
+    "--grammar-out",
+    "--grammar-in",
+];
+
 fn main() {
+    let args = Args::from_env(USAGE);
+    let mode = args.or_exit(args.exclusive(&MODES));
+    let default_execs = match mode {
+        None | Some(("--replay" | "--submit", _)) => 30_000,
+        Some(_) => 8_000,
+    };
+    let budget = args.or_exit(pdf_eval::EvalBudget::from_args(&args, default_execs));
+    let jobs = args.or_exit(args.positive("--jobs", 1)) as usize;
+    let shards = args.or_exit(args.positive("--shards", pdf_eval::FLEET_SHARDS as u64));
+    let sup = args.or_exit(pdf_eval::SupervisorConfig::from_args(&args));
+    let chaos_seed = args.or_exit(args.parsed::<u64>("--chaos", "an integer seed"));
+    let exec_mode = args.or_exit(pdf_eval::exec_mode_arg(&args));
+
     let registry = Arc::new(pdf_obs::MetricsRegistry::new());
     let _metrics = pdf_obs::install(Arc::clone(&registry));
-    let ticker = pdf_eval::progress_from_args()
+    let ticker = args
+        .has("--progress")
         .then(|| pdf_eval::ProgressTicker::start(Arc::clone(&registry)));
-    let metrics_out = pdf_eval::metrics_out_from_args();
+    let seed = budget.seeds[0];
+    let code = match mode {
+        Some(("--replay", path)) => replay(Path::new(path), jobs),
+        Some(("--submit", addr)) => submit_matrix(addr, &budget, exec_mode, shards),
+        Some(("--dict-out", path)) => mine_dictionaries(Path::new(path), budget.execs, seed),
+        Some(("--dict-in", path)) => dict_study(Path::new(path), budget.execs, seed),
+        Some(("--grammar-out", dir)) => mine_grammars(Path::new(dir), budget.execs, seed),
+        Some(("--grammar-in", dir)) => grammar_study(Path::new(dir), budget.execs, seed),
+        Some((flag, _)) => unreachable!("{flag} is not a mode flag"),
+        None => {
+            run_matrix(&args, &budget, jobs, &sup, chaos_seed, exec_mode);
+            0
+        }
+    };
+    drop(ticker);
+    if let Some(path) = args.path("--metrics-out") {
+        pdf_eval::write_metrics_snapshot(&path, &registry);
+    }
+    std::process::exit(code);
+}
 
-    if let Some(path) = pdf_eval::replay_path_from_args() {
-        let jobs = pdf_eval::require_arg(pdf_eval::jobs_from_args());
-        let code = replay(&path, jobs);
-        drop(ticker);
-        write_metrics(metrics_out.as_deref(), &registry);
-        std::process::exit(code);
-    }
-    if let Some(addr) = pdf_eval::submit_addr_from_args() {
-        let budget = pdf_eval::budget_from_args(30_000);
-        let exec_mode = pdf_eval::require_arg(pdf_eval::exec_mode_from_args());
-        let shards = pdf_eval::require_arg(pdf_eval::shards_from_args());
-        let code = submit_matrix(&addr, &budget, exec_mode, shards as u64);
-        drop(ticker);
-        write_metrics(metrics_out.as_deref(), &registry);
-        std::process::exit(code);
-    }
-    if let Some(path) = pdf_eval::dict_out_from_args() {
-        let budget = pdf_eval::budget_from_args(8_000);
-        let code = mine_dictionaries(&path, budget.execs, budget.seeds[0]);
-        drop(ticker);
-        write_metrics(metrics_out.as_deref(), &registry);
-        std::process::exit(code);
-    }
-    if let Some(path) = pdf_eval::dict_in_from_args() {
-        let budget = pdf_eval::budget_from_args(8_000);
-        let code = dict_study(&path, budget.execs, budget.seeds[0]);
-        drop(ticker);
-        write_metrics(metrics_out.as_deref(), &registry);
-        std::process::exit(code);
-    }
-    if let Some(dir) = pdf_eval::grammar_out_from_args() {
-        let budget = pdf_eval::budget_from_args(8_000);
-        let code = mine_grammars(&dir, budget.execs, budget.seeds[0]);
-        drop(ticker);
-        write_metrics(metrics_out.as_deref(), &registry);
-        std::process::exit(code);
-    }
-    if let Some(dir) = pdf_eval::grammar_in_from_args() {
-        let budget = pdf_eval::budget_from_args(8_000);
-        let code = grammar_study(&dir, budget.execs, budget.seeds[0]);
-        drop(ticker);
-        write_metrics(metrics_out.as_deref(), &registry);
-        std::process::exit(code);
-    }
-    let budget = pdf_eval::budget_from_args(30_000);
-    let jobs = pdf_eval::require_arg(pdf_eval::jobs_from_args());
-    let sup = pdf_eval::supervisor_from_args();
-    let chaos_seed = pdf_eval::chaos_seed_from_args();
-    let exec_mode = pdf_eval::require_arg(pdf_eval::exec_mode_from_args());
-    let stats_out = pdf_eval::stats_out_from_args();
-    let record_out = pdf_eval::record_path_from_args();
+fn run_matrix(
+    args: &Args,
+    budget: &pdf_eval::EvalBudget,
+    jobs: usize,
+    sup: &pdf_eval::SupervisorConfig,
+    chaos_seed: Option<u64>,
+    exec_mode: pdf_core::ExecMode,
+) {
+    let stats_out = args.path("--stats-out");
+    let record_out = args.path("--record");
     if record_out.is_some() && exec_mode != pdf_core::ExecMode::Full {
         eprintln!(
             "warning: recording under --exec-mode {exec_mode:?}; journals replay \
@@ -142,12 +159,9 @@ fn main() {
         Some(seed) => {
             let cfg = pdf_subjects::chaos::ChaosConfig::stormy(seed);
             eprintln!("chaos mode: subjects wrapped with {cfg:?}");
-            pdf_eval::matrix_cells_for(
-                &pdf_subjects::chaos::chaos_evaluation_subjects(cfg),
-                &budget,
-            )
+            pdf_eval::matrix_cells_for(&pdf_subjects::chaos::chaos_evaluation_subjects(cfg), budget)
         }
-        None => pdf_eval::matrix_cells(&budget),
+        None => pdf_eval::matrix_cells(budget),
     };
     for cell in &mut cells {
         cell.exec_mode = exec_mode;
@@ -160,8 +174,7 @@ fn main() {
         jobs,
         sup.max_retries,
     );
-    let per_cell = pdf_eval::run_cells_supervised(&cells, jobs, &sup);
-    drop(ticker);
+    let per_cell = pdf_eval::run_cells_supervised(&cells, jobs, sup);
     println!("{}", pdf_eval::render_supervision(&per_cell));
     if let Some(path) = &record_out {
         let journal = pdf_eval::journal_of(&cells, &per_cell);
@@ -207,13 +220,6 @@ fn main() {
         "{}",
         pdf_eval::render_discovery(&pdf_eval::token_discovery(&outcomes))
     );
-    write_metrics(metrics_out.as_deref(), &registry);
-}
-
-fn write_metrics(path: Option<&std::path::Path>, registry: &pdf_obs::MetricsRegistry) {
-    if let Some(path) = path {
-        pdf_eval::write_metrics_snapshot(path, registry);
-    }
 }
 
 fn mine_dictionaries(path: &std::path::Path, execs: u64, seed: u64) -> i32 {

@@ -1,10 +1,8 @@
 //! Runs one fuzzing campaign as a sharded cooperative fleet.
-//! Usage: fleetrunner [--subject NAME] [--execs N] [--seeds S]
-//!                    [--shards N] [--sync-every E]
-//!                    [--exec-mode full|tiered]
-//!                    [--checkpoint-dir D] [--resume]
-//!                    [--stop-after-epochs K] [--compare]
-//!                    [--metrics-out PATH]
+//! Usage: fleetrunner [--subject NAME] [--execs N] [--seeds S] [--shards N]
+//!                    [--sync-every E] [--exec-mode full|tiered]
+//!                    [--checkpoint-dir D] [--resume] [--stop-after-epochs K]
+//!                    [--compare] [--metrics-out PATH]
 //!
 //! `--execs N` is the *total* execution budget, split evenly over
 //! `--shards N` workers (shard `i` runs seed `S + i`); `--sync-every E`
@@ -35,53 +33,39 @@ use std::sync::Arc;
 
 use pdf_core::DriverConfig;
 use pdf_fleet::{Fleet, FleetConfig};
+use pdf_runtime::cli::Args;
 
-fn string_arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 1..args.len() {
-        if args[i] == flag {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
-}
-
-fn flag_present(flag: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == flag)
-}
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: fleetrunner [--subject NAME] [--execs N] [--seeds S] [--shards N]
+                   [--sync-every E] [--exec-mode full|tiered]
+                   [--checkpoint-dir D] [--resume] [--stop-after-epochs K]
+                   [--compare] [--metrics-out PATH]";
 
 fn main() {
-    let registry = Arc::new(pdf_obs::MetricsRegistry::new());
-    let _metrics = pdf_obs::install(Arc::clone(&registry));
-    let metrics_out = pdf_eval::metrics_out_from_args();
-
-    let budget = pdf_eval::budget_from_args(40_000);
+    let args = Args::from_env(USAGE);
+    let budget = args.or_exit(pdf_eval::EvalBudget::from_args(&args, 40_000));
     let seed = budget.seeds.first().copied().unwrap_or(1);
-    let shards = pdf_eval::require_arg(pdf_eval::shards_from_args());
+    let shards = args.or_exit(args.positive("--shards", pdf_eval::FLEET_SHARDS as u64)) as usize;
     let per_shard = (budget.execs / shards as u64).max(1);
     let default_sync = (per_shard / 8).clamp(50, per_shard.max(50));
-    let sync_every = pdf_eval::require_arg(pdf_eval::sync_every_from_args(default_sync));
-    let subject_name = string_arg("--subject").unwrap_or_else(|| "mjs".to_string());
-    let Some(info) = pdf_subjects::by_name(&subject_name) else {
-        eprintln!("error: unknown subject {subject_name:?}");
-        std::process::exit(2);
+    let sync_every = args.or_exit(args.positive("--sync-every", default_sync));
+    let subject_name = args.value("--subject").unwrap_or("mjs");
+    let Some(info) = pdf_subjects::by_name(subject_name) else {
+        args.fail(&format!("unknown subject {subject_name:?}"))
     };
-    let checkpoint_dir = pdf_eval::checkpoint_dir_from_args();
-    let stop_after = string_arg("--stop-after-epochs").map(|raw| {
-        pdf_eval::require_arg(
-            raw.parse::<u64>()
-                .map_err(|_| format!("--stop-after-epochs expects an integer, got {raw:?}"))
-                .and_then(|n| {
-                    if n == 0 {
-                        Err("--stop-after-epochs must be at least 1 (got 0)".to_string())
-                    } else {
-                        Ok(n)
-                    }
-                }),
-        )
+    let checkpoint_dir = args.path("--checkpoint-dir");
+    let stop_after = args.or_exit(args.positive_opt("--stop-after-epochs"));
+    let exec_mode = args.or_exit(pdf_eval::exec_mode_arg(&args));
+    let resume_dir = args.has("--resume").then(|| {
+        checkpoint_dir
+            .clone()
+            .unwrap_or_else(|| args.fail("--resume requires --checkpoint-dir"))
     });
+    let metrics_out = args.path("--metrics-out");
+    let registry = Arc::new(pdf_obs::MetricsRegistry::new());
+    let _metrics = pdf_obs::install(Arc::clone(&registry));
 
-    let exec_mode = pdf_eval::require_arg(pdf_eval::exec_mode_from_args());
     let base = DriverConfig {
         seed,
         max_execs: per_shard,
@@ -89,11 +73,7 @@ fn main() {
         ..DriverConfig::default()
     };
     let cfg = FleetConfig::new(shards, sync_every, base);
-    let mut fleet = if flag_present("--resume") {
-        let Some(dir) = checkpoint_dir.as_deref() else {
-            eprintln!("error: --resume requires --checkpoint-dir");
-            std::process::exit(2);
-        };
+    let mut fleet = if let Some(dir) = resume_dir.as_deref() {
         match Fleet::resume_from(info.subject, cfg, dir) {
             Ok(fleet) => {
                 eprintln!(
@@ -167,7 +147,7 @@ fn main() {
     println!("fleet digest: {:016x}", report.digest());
     println!("merged coverage digest: {:016x}", report.coverage_digest());
 
-    if flag_present("--compare") {
+    if args.has("--compare") {
         let cmp = pdf_eval::fleet_vs_single(&info, per_shard, seed, shards, sync_every);
         let fmt = |side: &pdf_eval::FleetSide| {
             format!(

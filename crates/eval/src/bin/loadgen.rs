@@ -1,7 +1,7 @@
 //! Bounded-burst load generator for `pdf-serve`; the CI `serve-soak`
 //! job's latency gate and the `chaos-recovery` job's overload gate.
-//! Usage: loadgen [--addr HOST:PORT] [--campaigns N] [--execs N]
-//!                [--workers N] [--shards N] [--subject NAME]
+//! Usage: loadgen [--addr HOST:PORT] [--campaigns N] [--execs N] [--workers N]
+//!                [--shards N] [--subject NAME] [--exec-mode full|tiered]
 //!                [--deadline-ms N] [--seed N] [--max-queued N]
 //!                [--expect-sheds]
 //!
@@ -12,7 +12,8 @@
 //! `--max-queued` when given) plus a loopback TCP server and talks to
 //! itself over real sockets, so one binary exercises the full wire
 //! path. Subjects rotate over the evaluation set unless pinned with
-//! `--subject`.
+//! `--subject`; `--exec-mode` sets every campaign's instrumentation
+//! tiering (default `full`).
 //!
 //! Submissions go through a [`RetryClient`]: when the daemon sheds
 //! load (`err code=overloaded retry-after-ms=N`) the client backs off
@@ -34,32 +35,32 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pdf_runtime::cli::Args;
 use pdf_serve::{CampaignSpec, Daemon, DaemonConfig, Phase, RetryClient, Server};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let campaigns = pdf_eval::require_arg(pdf_eval::positive_arg_in(&args, "--campaigns", 12));
-    let execs = pdf_eval::require_arg(pdf_eval::positive_arg_in(&args, "--execs", 400));
-    let workers = pdf_eval::require_arg(pdf_eval::positive_arg_in(&args, "--workers", 4));
-    let shards = pdf_eval::require_arg(pdf_eval::positive_arg_in(&args, "--shards", 1));
-    let deadline_ms =
-        pdf_eval::require_arg(pdf_eval::positive_arg_in(&args, "--deadline-ms", 30_000));
-    let base_seed = pdf_eval::require_arg(pdf_eval::positive_arg_in(&args, "--seed", 1));
-    let exec_mode = pdf_eval::require_arg(pdf_eval::exec_mode_in(&args));
-    let pinned = string_arg(&args, "--subject");
-    let remote = string_arg(&args, "--addr");
-    let max_queued = match pdf_eval::positive_arg_in(&args, "--max-queued", 0) {
-        Ok(0) => None,
-        Ok(n) => Some(n as usize),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let expect_sheds = args.iter().any(|a| a == "--expect-sheds");
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: loadgen [--addr HOST:PORT] [--campaigns N] [--execs N] [--workers N]
+               [--shards N] [--subject NAME] [--exec-mode full|tiered]
+               [--deadline-ms N] [--seed N] [--max-queued N]
+               [--expect-sheds]";
 
-    let subjects: Vec<String> = match &pinned {
-        Some(name) => vec![name.clone()],
+fn main() {
+    let args = Args::from_env(USAGE);
+    let campaigns = args.or_exit(args.positive("--campaigns", 12));
+    let execs = args.or_exit(args.positive("--execs", 400));
+    let workers = args.or_exit(args.positive("--workers", 4));
+    let shards = args.or_exit(args.positive("--shards", 1));
+    let deadline_ms = args.or_exit(args.positive("--deadline-ms", 30_000));
+    let base_seed = args.or_exit(args.positive("--seed", 1));
+    let exec_mode = args.or_exit(pdf_eval::exec_mode_arg(&args));
+    let max_queued = args.or_exit(args.positive_opt("--max-queued"));
+    let pinned = args.value("--subject");
+    let remote = args.value("--addr");
+    let expect_sheds = args.has("--expect-sheds");
+
+    let subjects: Vec<String> = match pinned {
+        Some(name) => vec![name.to_string()],
         None => pdf_subjects::evaluation_subjects()
             .iter()
             .map(|info| info.name.to_string())
@@ -71,7 +72,7 @@ fn main() {
     let local = if remote.is_none() {
         let mut cfg = DaemonConfig::in_memory(workers as usize);
         if let Some(cap) = max_queued {
-            cfg = cfg.with_max_queued(cap);
+            cfg = cfg.with_max_queued(cap as usize);
         }
         let daemon = Arc::new(Daemon::open(cfg).expect("in-memory daemon"));
         let server = Server::start(Arc::clone(&daemon), "127.0.0.1:0").unwrap_or_else(|e| {
@@ -82,8 +83,8 @@ fn main() {
     } else {
         None
     };
-    let addr = match (&remote, &local) {
-        (Some(a), _) => a.clone(),
+    let addr = match (remote, &local) {
+        (Some(a), _) => a.to_string(),
         (None, Some((_, server))) => server.local_addr().to_string(),
         (None, None) => unreachable!(),
     };
@@ -174,13 +175,4 @@ fn main() {
     if violations > 0 {
         std::process::exit(1);
     }
-}
-
-fn string_arg(args: &[String], flag: &str) -> Option<String> {
-    for i in 1..args.len() {
-        if args[i] == flag {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
 }

@@ -18,28 +18,26 @@
 use std::time::Instant;
 
 use pdf_core::{DriverConfig, ExecMode, Fuzzer};
+use pdf_runtime::cli::Args;
+
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: modebench [--execs N] [--seeds S] [--subject NAME]
+                 [--exec-mode full|tiered]";
 
 fn main() {
-    let budget = pdf_eval::budget_from_args(20_000);
+    let args = Args::from_env(USAGE);
+    let budget = args.or_exit(pdf_eval::EvalBudget::from_args(&args, 20_000));
     let seed = budget.seeds[0];
-    let modes: Vec<ExecMode> = if std::env::args().any(|a| a == "--exec-mode") {
-        vec![pdf_eval::require_arg(pdf_eval::exec_mode_from_args())]
+    let modes: Vec<ExecMode> = if args.has("--exec-mode") {
+        vec![args.or_exit(pdf_eval::exec_mode_arg(&args))]
     } else {
         vec![ExecMode::Full, ExecMode::Tiered]
     };
-    let subjects: Vec<pdf_subjects::SubjectInfo> = match std::env::args()
-        .skip(1)
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--subject")
-        .map(|w| w[1].clone())
-    {
-        Some(name) => match pdf_subjects::by_name(&name) {
+    let subjects: Vec<pdf_subjects::SubjectInfo> = match args.value("--subject") {
+        Some(name) => match pdf_subjects::by_name(name) {
             Some(info) => vec![info],
-            None => {
-                eprintln!("error: unknown subject {name:?}");
-                std::process::exit(2);
-            }
+            None => args.fail(&format!("unknown subject {name:?}")),
         },
         None => pdf_subjects::evaluation_subjects(),
     };
@@ -66,7 +64,7 @@ fn main() {
             println!(
                 "| {} | {} | {} | {} | {} | {:.2} | {:.0} |",
                 info.name,
-                mode_name(mode),
+                mode.name(),
                 r.valid_inputs.len(),
                 r.valid_branches.len(),
                 r.all_branches.len(),
@@ -74,12 +72,5 @@ fn main() {
                 rate,
             );
         }
-    }
-}
-
-fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Full => "full",
-        ExecMode::Tiered => "tiered",
     }
 }

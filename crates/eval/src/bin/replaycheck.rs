@@ -3,9 +3,9 @@
 //! cell and diffs the digests — pFuzzer cells are additionally replayed
 //! from the recorded decision stream with no RNG at all.
 //!
-//! Usage: replaycheck [--execs N] [--seeds a,b,c] [--afl-mult N]
-//!                    [--jobs N] [--record PATH] [--replay PATH]
-//!                    [--resume-at N] [--metrics-out PATH] [--progress]
+//! Usage: replaycheck [--execs N] [--seeds a,b,c] [--afl-mult N] [--jobs N]
+//!                    [--record PATH] [--replay PATH] [--resume-at N]
+//!                    [--metrics-out PATH] [--progress]
 //!
 //! With `--replay PATH` an existing journal is checked instead of
 //! recording a fresh one. With `--record PATH` the recorded journal is
@@ -19,6 +19,13 @@
 //! Both are observe-only and cannot change any digest.
 
 use pdf_core::{CampaignBudget, Checkpoint, DriverConfig, Fuzzer};
+use pdf_runtime::cli::Args;
+
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: replaycheck [--execs N] [--seeds a,b,c] [--afl-mult N] [--jobs N]
+                   [--record PATH] [--replay PATH] [--resume-at N]
+                   [--metrics-out PATH] [--progress]";
 
 /// Kill-and-resume determinism check over the matrix's pFuzzer cells.
 /// Returns the number of cells whose resumed campaign diverged from the
@@ -78,28 +85,31 @@ fn resume_selftest(pause_at: u64, budget: &pdf_eval::EvalBudget) -> usize {
 }
 
 fn main() {
+    let args = Args::from_env(USAGE);
+    let jobs = args.or_exit(args.positive("--jobs", 1)) as usize;
+    let budget = args.or_exit(pdf_eval::EvalBudget::from_args(&args, 2_000));
+    let resume_at = args.or_exit(args.parsed::<u64>("--resume-at", "a non-negative integer"));
     let registry = std::sync::Arc::new(pdf_obs::MetricsRegistry::new());
     let _metrics = pdf_obs::install(std::sync::Arc::clone(&registry));
-    let ticker = pdf_eval::progress_from_args()
+    let ticker = args
+        .has("--progress")
         .then(|| pdf_eval::ProgressTicker::start(std::sync::Arc::clone(&registry)));
-    let code = run();
+    let code = run(&args, jobs, &budget, resume_at);
     drop(ticker);
-    if let Some(path) = pdf_eval::metrics_out_from_args() {
+    if let Some(path) = args.path("--metrics-out") {
         pdf_eval::write_metrics_snapshot(&path, &registry);
     }
     std::process::exit(code);
 }
 
-fn run() -> i32 {
-    let jobs = pdf_eval::require_arg(pdf_eval::jobs_from_args());
-    if let Some(pause_at) = pdf_eval::resume_at_from_args() {
-        let budget = pdf_eval::budget_from_args(2_000);
-        if resume_selftest(pause_at, &budget) > 0 {
+fn run(args: &Args, jobs: usize, budget: &pdf_eval::EvalBudget, resume_at: Option<u64>) -> i32 {
+    if let Some(pause_at) = resume_at {
+        if resume_selftest(pause_at, budget) > 0 {
             eprintln!("resume self-test FAILED");
             return 1;
         }
     }
-    let journal = match pdf_eval::replay_path_from_args() {
+    let journal = match args.path("--replay") {
         Some(path) => {
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
@@ -117,8 +127,7 @@ fn run() -> i32 {
             }
         }
         None => {
-            let budget = pdf_eval::budget_from_args(2_000);
-            let cells = pdf_eval::matrix_cells(&budget);
+            let cells = pdf_eval::matrix_cells(budget);
             eprintln!(
                 "recording {} cells ({} execs x {} seeds, {} jobs) ...",
                 cells.len(),
@@ -127,7 +136,7 @@ fn run() -> i32 {
                 jobs,
             );
             let (_, journal) = pdf_eval::record_cells(&cells, jobs);
-            if let Some(path) = pdf_eval::record_path_from_args() {
+            if let Some(path) = args.path("--record") {
                 match std::fs::write(&path, journal.encode()) {
                     Ok(()) => eprintln!("journal written to {}", path.display()),
                     Err(e) => {

@@ -1,7 +1,12 @@
 //! Thin `pdf-wire v1` command-line client for a running `pdfserved`.
-//! Usage: `servecli [--addr HOST:PORT] COMMAND [ARGS]`
 //!
-//! Commands:
+//! ```text
+//! Usage: servecli [--addr HOST:PORT] [--subject NAME] [--seed N] [--execs N]
+//!                 [--shards N] [--sync-every N] [--exec-mode full|tiered]
+//!                 [--deadline-ms N] [--key TOKEN] [--wait] COMMAND [ID]
+//! ```
+//!
+//! Commands (every flag but `--addr` belongs to `submit`):
 //!   submit --subject NAME [--seed N] [--execs N] [--shards N]
 //!          [--sync-every N] [--exec-mode full|tiered]
 //!          [--deadline-ms N] [--key TOKEN] [--wait]
@@ -23,66 +28,76 @@
 //! `--addr` defaults to `127.0.0.1:7700`, `pdfserved`'s default listen
 //! address. Exit status: 0 on success, 1 when the server refuses the
 //! request (unknown id, illegal transition, ...), 2 on a usage error or
-//! transport failure. The streaming commands (`watch`, `submit
-//! --wait`) ride a [`RetryClient`], so a daemon restart or dropped
-//! connection mid-stream reconnects with backoff instead of dying.
+//! transport failure. Usage errors (an unknown flag or command, a
+//! missing or malformed ID) are caught before the daemon is dialled.
+//! The streaming commands (`watch`, `submit --wait`) ride a
+//! [`RetryClient`], so a daemon restart or dropped connection
+//! mid-stream reconnects with backoff instead of dying.
 
+use pdf_runtime::cli::Args;
 use pdf_serve::{CampaignSpec, CampaignStatus, ClientError, RetryClient, ServeClient};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: servecli [--addr HOST:PORT] \
-         submit|status|pause|resume|cancel|list|watch|metrics|ping|shutdown [ARGS]"
-    );
-    std::process::exit(2);
-}
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: servecli [--addr HOST:PORT] [--subject NAME] [--seed N] [--execs N]
+                [--shards N] [--sync-every N] [--exec-mode full|tiered]
+                [--deadline-ms N] [--key TOKEN] [--wait] COMMAND [ID]
+
+commands: submit list metrics ping shutdown; status|pause|resume|cancel|watch ID";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = addr_in(&args);
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--addr" {
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    let Some(command) = rest.first().cloned() else {
-        usage()
+    let args = Args::from_env(USAGE);
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7700");
+    let Some(command) = args.positional(0) else {
+        args.fail("missing COMMAND")
     };
-    let mut client = match ServeClient::connect(&addr) {
+    let takes_id = match command {
+        "status" | "pause" | "resume" | "cancel" | "watch" => true,
+        "submit" | "list" | "metrics" | "ping" | "shutdown" => false,
+        _ => args.fail(&format!("unknown command {command:?}")),
+    };
+    let id = match (takes_id, args.positional(1)) {
+        (true, Some(raw)) => raw.parse::<u64>().unwrap_or_else(|_| {
+            args.fail(&format!(
+                "{command} requires a numeric campaign id, got {raw:?}"
+            ))
+        }),
+        (true, None) => args.fail(&format!("{command} requires a numeric campaign id")),
+        (false, Some(raw)) => args.fail(&format!("{command} takes no ID, got {raw:?}")),
+        (false, None) => 0,
+    };
+    let spec = (command == "submit").then(|| args.or_exit(submit_spec(&args)));
+    let mut client = match ServeClient::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: cannot reach {addr}: {e} (connection refused? check that pdfserved is running there)");
             std::process::exit(2);
         }
     };
-    let outcome = match command.as_str() {
-        "submit" => submit(&mut client, &addr, &args),
-        "status" => id_command(&rest).and_then(|id| client.status(id).map(|s| print_status(&s))),
-        "pause" => id_command(&rest).and_then(|id| client.pause(id).map(|s| print_state(id, &s))),
-        "resume" => id_command(&rest).and_then(|id| client.resume(id).map(|s| print_state(id, &s))),
-        "cancel" => id_command(&rest).and_then(|id| client.cancel(id).map(|s| print_state(id, &s))),
+    let outcome = match command {
+        "status" => client.status(id).map(|s| print_status(&s)),
+        "pause" => client.pause(id).map(|s| print_state(id, &s)),
+        "resume" => client.resume(id).map(|s| print_state(id, &s)),
+        "cancel" => client.cancel(id).map(|s| print_state(id, &s)),
+        // Streaming survives daemon restarts: the RetryClient re-dials
+        // and re-issues the watch with jittered backoff.
+        "watch" => RetryClient::new(addr)
+            .watch(id, print_status)
+            .map(|last| print_status(&last)),
         "list" => client.list().map(|all| {
             for s in &all {
                 print_status(s);
             }
             eprintln!("{} campaigns", all.len());
         }),
-        "watch" => id_command(&rest).and_then(|id| {
-            // Streaming survives daemon restarts: the RetryClient
-            // re-dials and re-issues the watch with jittered backoff.
-            RetryClient::new(&addr).watch(id, print_status).map(|last| {
-                print_status(&last);
-            })
-        }),
         "metrics" => client.metrics().map(|text| print!("{text}")),
         "ping" => client.ping().map(|()| println!("pong")),
         "shutdown" => client.shutdown().map(|()| println!("stopping")),
-        _ => usage(),
+        "submit" => {
+            let spec = spec.expect("submit parsed its spec");
+            submit(&mut client, addr, &spec, args.has("--wait"))
+        }
+        _ => unreachable!("commands are checked before connecting"),
     };
     match outcome {
         Ok(()) => {}
@@ -101,77 +116,37 @@ fn main() {
     }
 }
 
-fn addr_in(args: &[String]) -> String {
-    for i in 1..args.len() {
-        if args[i] == "--addr" {
-            if let Some(a) = args.get(i + 1) {
-                return a.clone();
-            }
-            eprintln!("error: --addr requires a value");
-            std::process::exit(2);
-        }
-    }
-    "127.0.0.1:7700".to_string()
-}
-
-fn id_command(rest: &[String]) -> Result<u64, ClientError> {
-    match rest.get(1).map(|s| s.parse::<u64>()) {
-        Some(Ok(id)) => Ok(id),
-        _ => {
-            eprintln!("error: {} requires a numeric campaign id", rest[0]);
-            std::process::exit(2);
-        }
-    }
-}
-
-fn submit(client: &mut ServeClient, addr: &str, args: &[String]) -> Result<(), ClientError> {
-    let Some(subject) = string_arg(args, "--subject") else {
-        eprintln!("error: submit requires --subject NAME");
-        std::process::exit(2);
-    };
-    let seed = pdf_eval::require_arg(pdf_eval::positive_arg_in(args, "--seed", 1));
-    let execs = pdf_eval::require_arg(pdf_eval::positive_arg_in(args, "--execs", 5_000));
-    let shards = pdf_eval::require_arg(pdf_eval::positive_arg_in(args, "--shards", 1));
-    let sync_every = pdf_eval::require_arg(pdf_eval::positive_arg_in(
-        args,
-        "--sync-every",
-        pdf_serve::default_sync_every(execs, shards),
-    ));
-    let exec_mode = pdf_eval::require_arg(pdf_eval::exec_mode_in(args));
-    let deadline_ms = match pdf_eval::positive_arg_in(args, "--deadline-ms", 0) {
-        Ok(0) => None,
-        Ok(n) => Some(n),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let spec = CampaignSpec {
-        subject,
-        seed,
+fn submit_spec(args: &Args) -> Result<CampaignSpec, String> {
+    let subject = args
+        .value("--subject")
+        .ok_or("submit requires --subject NAME")?;
+    let execs = args.positive("--execs", 5_000)?;
+    let shards = args.positive("--shards", 1)?;
+    Ok(CampaignSpec {
+        subject: subject.to_string(),
+        seed: args.positive("--seed", 1)?,
         execs,
         shards,
-        sync_every,
-        exec_mode,
-        deadline_ms,
-        idempotency_key: string_arg(args, "--key"),
-    };
-    let id = client.submit(&spec)?;
+        sync_every: args.positive("--sync-every", pdf_serve::default_sync_every(execs, shards))?,
+        exec_mode: pdf_eval::exec_mode_arg(args)?,
+        deadline_ms: args.positive_opt("--deadline-ms")?,
+        idempotency_key: args.value("--key").map(String::from),
+    })
+}
+
+fn submit(
+    client: &mut ServeClient,
+    addr: &str,
+    spec: &CampaignSpec,
+    wait: bool,
+) -> Result<(), ClientError> {
+    let id = client.submit(spec)?;
     println!("submitted id={id}");
-    if args.iter().any(|a| a == "--wait") {
+    if wait {
         let last = RetryClient::new(addr).watch(id, print_status)?;
         print_status(&last);
     }
     Ok(())
-}
-
-fn string_arg(args: &[String], flag: &str) -> Option<String> {
-    for i in 1..args.len() {
-        if args[i] == flag {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
 }
 
 fn print_state(id: u64, state: &str) {

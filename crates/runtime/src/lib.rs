@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod arena;
+pub mod cli;
 mod corpus;
 mod coverage;
 mod ctx;

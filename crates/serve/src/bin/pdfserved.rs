@@ -4,6 +4,12 @@
 //! pdfserved --listen 127.0.0.1:7700 --workers 4 --state-dir /var/lib/pdf-serve
 //! ```
 //!
+//! Usage: pdfserved [--listen ADDR] [--workers N] [--state-dir DIR]
+//!                  [--max-queued N] [--max-conns N] [--read-timeout-ms N]
+//!
+//! An unknown, repeated or malformed flag exits 2 with the usage before
+//! any socket is bound; `--help` prints the usage and the defaults.
+//!
 //! Prints the bound address (useful with `--listen 127.0.0.1:0`) and
 //! serves until a wire `shutdown` command arrives. With `--state-dir`,
 //! restarting the daemon on the same directory resumes every
@@ -12,70 +18,38 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use pdf_runtime::cli::Args;
 use pdf_serve::{Daemon, DaemonConfig, Server, ServerConfig};
 
-fn string_arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+/// The flag table: `pdf_runtime::cli` parses the command line against it.
+const USAGE: &str = "\
+usage: pdfserved [--listen ADDR] [--workers N] [--state-dir DIR]
+                 [--max-queued N] [--max-conns N] [--read-timeout-ms N]
 
-fn numeric_arg(args: &[String], name: &str, default: u64) -> u64 {
-    match string_arg(args, name).as_deref() {
-        None => default,
-        Some(raw) => match raw.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: {name} expects a positive integer, got {raw:?}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
+defaults: --listen 127.0.0.1:7700, --workers 4, in-memory state,
+          unlimited queue, --max-conns 64, --read-timeout-ms 30000";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: pdfserved [--listen ADDR] [--workers N] [--state-dir DIR]\n\
-             \x20                [--max-queued N] [--max-conns N] [--read-timeout-ms N]\n\
-             defaults: --listen 127.0.0.1:7700, --workers 4, in-memory state,\n\
-             \x20         unlimited queue, --max-conns 64, --read-timeout-ms 30000"
-        );
-        return;
-    }
-    // Reject unknown flags instead of silently serving on the defaults
-    // (a typo'd `--addr` must not leave a daemon listening elsewhere).
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" | "--workers" | "--state-dir" | "--max-queued" | "--max-conns"
-            | "--read-timeout-ms" => i += 2,
-            other => {
-                eprintln!("error: unknown argument {other:?} (see --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let listen = string_arg(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7700".to_string());
-    let workers = numeric_arg(&args, "--workers", 4) as usize;
-    let mut cfg = match string_arg(&args, "--state-dir") {
+    // Unknown flags are refused, not served on the defaults: a typo'd
+    // `--addr` must not leave a daemon listening elsewhere.
+    let args = Args::from_env(USAGE);
+    let listen = args.value("--listen").unwrap_or("127.0.0.1:7700");
+    let workers = args.or_exit(args.positive("--workers", 4)) as usize;
+    let max_queued = args.or_exit(args.positive_opt("--max-queued"));
+    let server_cfg = ServerConfig {
+        read_timeout: Some(Duration::from_millis(
+            args.or_exit(args.positive("--read-timeout-ms", 30_000)),
+        )),
+        max_conns: args.or_exit(args.positive("--max-conns", 64)) as usize,
+        faults: None,
+    };
+    let mut cfg = match args.value("--state-dir") {
         Some(dir) => DaemonConfig::persistent(workers, dir),
         None => DaemonConfig::in_memory(workers),
     };
-    if string_arg(&args, "--max-queued").is_some() {
-        cfg = cfg.with_max_queued(numeric_arg(&args, "--max-queued", 1) as usize);
+    if let Some(cap) = max_queued {
+        cfg = cfg.with_max_queued(cap as usize);
     }
-    let server_cfg = ServerConfig {
-        read_timeout: Some(Duration::from_millis(numeric_arg(
-            &args,
-            "--read-timeout-ms",
-            30_000,
-        ))),
-        max_conns: numeric_arg(&args, "--max-conns", 64) as usize,
-        faults: None,
-    };
     let daemon = match Daemon::open(cfg) {
         Ok(d) => Arc::new(d),
         Err(e) => {
@@ -83,7 +57,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut server = match Server::start_with(Arc::clone(&daemon), &listen, server_cfg) {
+    let mut server = match Server::start_with(Arc::clone(&daemon), listen, server_cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot bind {listen}: {e}");

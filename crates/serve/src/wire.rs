@@ -280,25 +280,14 @@ pub fn is_token(s: &str) -> bool {
             .all(|c| !c.is_whitespace() && c != '=' && c != '|')
 }
 
-fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Full => "full",
-        ExecMode::Tiered => "tiered",
-    }
-}
-
 /// Parses an execution-mode name, case-insensitively (`full`, `FULL`,
 /// `Tiered` all work — the wire analog of `evalrunner --exec-mode`).
 /// The retired `fast` mode is rejected like any unknown name.
 pub fn parse_mode(s: &str) -> Result<ExecMode, WireError> {
-    match s.to_ascii_lowercase().as_str() {
-        "full" => Ok(ExecMode::Full),
-        "tiered" => Ok(ExecMode::Tiered),
-        _ => Err(WireError::BadValue {
-            key: "mode".into(),
-            reason: format!("expected one of full, tiered; got {s:?}"),
-        }),
-    }
+    ExecMode::parse(s).ok_or_else(|| WireError::BadValue {
+        key: "mode".into(),
+        reason: format!("expected one of full, tiered; got {s:?}"),
+    })
 }
 
 /// Splits `rest` into `k=v` pairs, handling the trailing rest-of-line
@@ -401,7 +390,7 @@ impl Request {
                     spec.execs,
                     spec.shards,
                     spec.sync_every,
-                    mode_name(spec.exec_mode),
+                    spec.exec_mode.name(),
                 );
                 if let Some(d) = spec.deadline_ms {
                     line.push_str(&format!(" deadline-ms={d}"));
@@ -675,7 +664,7 @@ pub fn status_fields(s: &CampaignStatus) -> Vec<(String, String)> {
         ("execs".to_string(), s.spec.execs.to_string()),
         ("shards".to_string(), s.spec.shards.to_string()),
         ("sync".to_string(), s.spec.sync_every.to_string()),
-        ("mode".to_string(), mode_name(s.spec.exec_mode).to_string()),
+        ("mode".to_string(), s.spec.exec_mode.name().to_string()),
         ("epoch".to_string(), s.epoch.to_string()),
         ("spent".to_string(), s.spent.to_string()),
         ("valid".to_string(), s.valid.to_string()),
