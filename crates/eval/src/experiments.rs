@@ -654,7 +654,7 @@ pub struct GrammarStudyRow {
     pub mode: &'static str,
     /// Instrumented executions spent.
     pub execs: u64,
-    /// Generator fast-tier executions (zero for the pFuzzer row).
+    /// Inputs the generator produced (zero for the pFuzzer row).
     pub generated: u64,
     /// Distinct valid inputs produced.
     pub valid_inputs: usize,
@@ -696,8 +696,9 @@ fn grammar_study_row(
 /// weights (no exploration — the `--grammar-in` reuse path), and
 /// (3) the full combined pipeline re-mining from scratch. Returns three
 /// [`GrammarStudyRow`]s in that order. The flood row spends its budget
-/// as fast-tier generations (plus one coverage escalation per fresh
-/// distinct valid input); a grammar whose cheapest expansions cycle is
+/// as generated inputs, each run at most once under coverage; its
+/// `execs` counts the runs that found a distinct valid input. A
+/// grammar whose cheapest expansions cycle is
 /// reported with zeroed generator columns rather than aborting the
 /// study. Deterministic in all arguments.
 pub fn grammar_vs_baseline(
@@ -734,7 +735,7 @@ pub fn grammar_vs_baseline(
                 grammar_study_row(
                     info.name,
                     "flood",
-                    report.distinct_valid.len() as u64, // coverage escalations
+                    report.distinct_valid.len() as u64, // runs that found a fresh input
                     report.generated,
                     &report.distinct_valid,
                     report.branches.len(),

@@ -30,8 +30,8 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::Instant;
 
-use pdf_core::{CampaignBudget, DriverConfig, ExecMode, FuzzReport, Fuzzer, StopReason};
-use pdf_runtime::{digest_bytes, BranchSet, Digest, ExecArena, Subject};
+use pdf_core::{CampaignBudget, DriverConfig, FuzzReport, Fuzzer, StopReason};
+use pdf_runtime::{digest_bytes, BranchSet, Digest, Subject};
 
 use crate::manifest::{shard_file, FleetError, FleetManifest, MANIFEST_FILE};
 
@@ -229,10 +229,6 @@ pub struct Fleet {
     epoch: u64,
     promotions: u64,
     injections: u64,
-    /// Coordinator-side execution scratch for the batched promotion
-    /// check in tiered/fast exec modes; cleared between epochs, never
-    /// reallocated.
-    arena: ExecArena,
 }
 
 impl Fleet {
@@ -293,7 +289,6 @@ impl Fleet {
             epoch: 0,
             promotions: 0,
             injections: 0,
-            arena: ExecArena::new(),
         }
     }
 
@@ -397,23 +392,6 @@ impl Fleet {
             self.seen_valid[s] = inputs.len();
             merged.union_with(sp.valid_branches());
         }
-        // In the tiered exec mode, shards learn validity from escalated
-        // runs; batch-confirm the epoch's promotions through one
-        // amortized fast-failure pass before they fan out to every other
-        // shard's queue. RNG-free and deterministic (subjects are pure),
-        // so the fleet digest contract holds; full mode skips the pass
-        // entirely, keeping pre-tiering digests byte-identical.
-        if self.cfg.base.exec_mode != ExecMode::Full && !fresh.is_empty() {
-            let inputs: Vec<&[u8]> = fresh.iter().map(|(_, i)| i.as_slice()).collect();
-            let verdicts: Vec<bool> = self
-                .subject
-                .exec_batch_fast(&mut self.arena, &inputs)
-                .iter()
-                .map(|e| e.valid)
-                .collect();
-            let mut keep = verdicts.iter().copied();
-            fresh.retain(|_| keep.next().unwrap_or(false));
-        }
         let mut injected: u64 = 0;
         for (s, w) in self.workers.iter_mut().enumerate() {
             // Coverage first: the injected entries are then scored
@@ -466,10 +444,9 @@ impl Fleet {
     }
 
     /// Folds externally observed valid-input coverage (e.g. from a
-    /// generator flood's escalated coverage runs) into every shard's
-    /// scoring baseline, so shards stop chasing branches the external
-    /// source already covered. Deterministic: a plain set union per
-    /// shard.
+    /// generator flood's coverage runs) into every shard's scoring
+    /// baseline, so shards stop chasing branches the external source
+    /// already covered. Deterministic: a plain set union per shard.
     pub fn adopt_external_coverage(&mut self, coverage: &BranchSet) {
         for w in self.workers.iter_mut() {
             w.sync_point().adopt_coverage(coverage);
@@ -622,7 +599,6 @@ impl Fleet {
             epoch: m.epoch,
             promotions: m.promotions,
             injections: m.injections,
-            arena: ExecArena::new(),
             cfg,
         })
     }

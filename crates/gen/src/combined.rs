@@ -1,6 +1,6 @@
 //! The combined three-stage campaign: pFuzzer discovers syntax,
-//! `pdf-grammar` mines and generalizes it, `pdf-gen` floods coverage
-//! through the batch hot path while a `pdf-fleet` fleet keeps fuzzing —
+//! `pdf-grammar` mines and generalizes it, `pdf-gen` floods generated
+//! inputs through coverage runs while a `pdf-fleet` fleet keeps fuzzing —
 //! with generator-found valid inputs promoted into every shard's
 //! candidate queue between epochs, and generator coverage folded into
 //! the shards' scoring baselines.

@@ -547,9 +547,8 @@ impl CompiledGrammar {
     /// first — the flood hot path. Amortises everything per-input
     /// generation pays per call (scratch swaps, buffer clears, stack
     /// setup) across the whole batch; inputs and traces land
-    /// back-to-back in two byte/index pools, ready to feed
-    /// [`exec_batch_fast`](pdf_runtime::Subject::exec_batch_fast)
-    /// without materialising per-input `Vec`s.
+    /// back-to-back in two byte/index pools, read back as `&[u8]`
+    /// views without materialising per-input `Vec`s.
     pub fn generate_batch(&mut self, rng: &mut Rng, batch: &mut GenBatch, n: usize) {
         batch.clear();
         batch.bounds.reserve(n);
@@ -679,9 +678,8 @@ impl CompiledGrammar {
 /// one arena with boundary offsets, and all choice traces likewise —
 /// the output shape of [`CompiledGrammar::generate_batch`]. Reusing one
 /// batch across flood epochs is allocation-free at steady state, and
-/// [`inputs`](Self::inputs) yields `&[u8]` views that
-/// [`exec_batch_fast`](pdf_runtime::Subject::exec_batch_fast) accepts
-/// directly.
+/// [`inputs`](Self::inputs) yields `&[u8]` views that the batch
+/// executors accept directly.
 #[derive(Debug, Clone, Default)]
 pub struct GenBatch {
     bytes: Vec<u8>,

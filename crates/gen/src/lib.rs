@@ -26,9 +26,10 @@
 //!    order of magnitude the *Building Fast Fuzzers* paper reports over
 //!    interpreted generators.
 //! 2. [`mod@evolve`] — EvoGFuzz-style evolutionary weighting: flood
-//!    generated batches through `exec_batch_fast`, escalate fresh valid
-//!    inputs to coverage runs, credit each alternative's choice trace
-//!    with its branch yield, re-weight at deterministic epochs.
+//!    generated batches through `run_coverage` in one pass that runs
+//!    each input at most once (a repeat of a known valid input is not
+//!    run), credit each fresh valid input's choice trace with its
+//!    branch yield, re-weight at deterministic epochs.
 //! 3. [`combined`] — the three-stage campaign: pFuzzer explores, the
 //!    miner generalizes, the generator floods while a `pdf-fleet` fleet
 //!    keeps fuzzing, with generator-found valid inputs promoted into

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use pdf_core::ExecMode;
-use pdf_gen::{run_combined, CombinedConfig};
+use pdf_gen::{compile_uniform, evolve, run_combined, CombinedConfig, EvolveConfig};
+use pdf_grammar::mine_corpus;
 use pdf_obs::MetricsRegistry;
 
 fn cfg(seed: u64) -> CombinedConfig {
@@ -62,4 +63,33 @@ fn metrics_never_change_digests_and_grammar_counters_register() {
     ] {
         assert!(encoded.contains(name), "snapshot is missing {name}");
     }
+}
+
+/// The flood runs each generated input at most once: a repeat of a
+/// distinct valid input is not run at all, every other input runs once.
+#[test]
+fn a_flood_runs_each_generated_input_at_most_once() {
+    let subject = pdf_subjects::mjs::subject();
+    let corpus: Vec<Vec<u8>> = pdf_subjects::mjs::reference_corpus()
+        .iter()
+        .map(|c| c.to_vec())
+        .collect();
+    let compiled = compile_uniform(&mine_corpus(subject, &corpus), 10).unwrap();
+    let cfg = EvolveConfig {
+        seed: 1,
+        epochs: 4,
+        batch: 256,
+        ..EvolveConfig::default()
+    };
+    let registry = Arc::new(MetricsRegistry::new());
+    let report = {
+        let _scope = pdf_obs::install(Arc::clone(&registry));
+        evolve(subject, compiled, cfg)
+    };
+    let generated = registry.grammar_generated.get();
+    assert_eq!(generated, report.generated);
+    assert!(registry.execs.get() <= generated);
+    let repeats = report.generated_valid - report.distinct_valid.len() as u64;
+    assert!(repeats > 0, "the flood generated no repeat to skip");
+    assert_eq!(registry.execs.get(), generated - repeats);
 }

@@ -173,10 +173,7 @@ impl Args {
     ///
     /// A message naming the flag when its value is malformed or zero.
     pub fn positive_opt(&self, name: &str) -> Result<Option<u64>, String> {
-        match self.parsed::<u64>(name, "a positive integer")? {
-            Some(0) => Err(format!("{name} must be at least 1 (got 0)")),
-            n => Ok(n),
-        }
+        positive(name, self.value(name))
     }
 
     /// [`Args::positive_opt`], falling back to `default` when the flag
@@ -187,6 +184,17 @@ impl Args {
     /// A message naming the flag when its value is malformed or zero.
     pub fn positive(&self, name: &str, default: u64) -> Result<u64, String> {
         self.positive_opt(name).map(|n| n.unwrap_or(default))
+    }
+
+    /// The `i`-th positional argument, called `name` in messages, as an
+    /// integer of at least 1, falling back to `default` when it is
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the argument when it is malformed or zero.
+    pub fn positive_at(&self, i: usize, name: &str, default: u64) -> Result<u64, String> {
+        positive(name, self.positional(i)).map(|n| n.unwrap_or(default))
     }
 
     /// The one flag of `names` that was given, with its value.
@@ -214,6 +222,16 @@ impl Args {
     /// Prints `error: {msg}` and the usage to stderr and exits 2.
     pub fn fail(&self, msg: &str) -> ! {
         exit_usage(self.usage, msg)
+    }
+}
+
+/// `raw`, the value of `name`, as an integer of at least 1.
+fn positive(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.parse::<u64>() {
+        Ok(0) => Err(format!("{name} must be at least 1 (got 0)")),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!("{name} expects a positive integer, got {raw:?}")),
     }
 }
 
@@ -343,6 +361,23 @@ notes name [--not-a-flag X] and NOT positionals";
         );
         assert_eq!(a.parsed::<u64>("--out", "a number"), Ok(None));
         assert_eq!(parse(&[]).unwrap().unwrap().positive("--execs", 9), Ok(9));
+    }
+
+    #[test]
+    fn positional_counts_name_the_argument() {
+        let a = parse(&["run", "3OOO"]).unwrap().unwrap();
+        assert_eq!(
+            a.positive_at(1, "ID", 9).unwrap_err(),
+            "ID expects a positive integer, got \"3OOO\""
+        );
+        let a = parse(&["run", "0"]).unwrap().unwrap();
+        assert_eq!(
+            a.positive_at(1, "ID", 9).unwrap_err(),
+            "ID must be at least 1 (got 0)"
+        );
+        let a = parse(&["run", "12"]).unwrap().unwrap();
+        assert_eq!(a.positive_at(1, "ID", 9), Ok(12));
+        assert_eq!(a.positive_at(2, "ID", 9), Ok(9));
     }
 
     #[test]

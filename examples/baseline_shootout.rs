@@ -3,25 +3,28 @@
 //! coverage.
 //!
 //! Run with:
-//! `cargo run --release --example baseline_shootout -- [subject] [execs]`
+//! `cargo run --release --example baseline_shootout -- [SUBJECT] [EXECS]`
 //! where subject is one of ini, csv, cjson, tinyC, mjs (default cjson).
 
 use parser_directed_fuzzing::eval::{coverage_universe, relative_coverage, run_tool_seeded, Tool};
+use parser_directed_fuzzing::runtime::cli::Args;
 use parser_directed_fuzzing::subjects;
 use parser_directed_fuzzing::tokens::TokenCoverage;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let subject_name = args
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("cjson")
-        .to_string();
-    let execs: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20_000);
+const USAGE: &str = "\
+usage: baseline_shootout [SUBJECT] [EXECS]
 
-    let Some(info) = subjects::by_name(&subject_name) else {
-        eprintln!("unknown subject {subject_name}; use ini, csv, cjson, tinyC or mjs");
-        std::process::exit(1);
+Runs every tool for EXECS executions (default 20000) on SUBJECT: ini,
+csv, cjson, tinyC or mjs (default cjson).";
+
+fn main() {
+    let args = Args::from_env(USAGE);
+    let subject_name = args.positional(0).unwrap_or("cjson");
+    let execs = args.or_exit(args.positive_at(1, "EXECS", 20_000));
+    let Some(info) = subjects::by_name(subject_name) else {
+        args.fail(&format!(
+            "unknown subject {subject_name}; use ini, csv, cjson, tinyC or mjs"
+        ));
     };
 
     println!("{subject_name}: {execs} executions per tool\n");
@@ -37,7 +40,7 @@ fn main() {
     );
     for outcome in &outcomes {
         let coverage = relative_coverage(outcome, &universe);
-        let (short, long) = match TokenCoverage::new(&subject_name) {
+        let (short, long) = match TokenCoverage::new(subject_name) {
             Some(mut cov) => {
                 for input in &outcome.valid_inputs {
                     cov.add_input(input);

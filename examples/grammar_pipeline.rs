@@ -5,26 +5,32 @@
 //! structures" — which the subject then validates.
 //!
 //! Run with:
-//! `cargo run --release --example grammar_pipeline -- [subject] [fuzz_execs]`
+//! `cargo run --release --example grammar_pipeline -- [SUBJECT] [FUZZ_EXECS]`
 //! (default: cjson 30000)
 
 use parser_directed_fuzzing::grammar::mine_corpus;
 use parser_directed_fuzzing::pfuzzer::{DriverConfig, Fuzzer};
+use parser_directed_fuzzing::runtime::cli::Args;
 use parser_directed_fuzzing::subjects;
 use pdf_gen::{compile_uniform, evolve, EvolveConfig};
+
+const USAGE: &str = "\
+usage: grammar_pipeline [SUBJECT] [FUZZ_EXECS]
+
+Explores SUBJECT (default cjson) with pFuzzer for FUZZ_EXECS executions
+(default 30000), mines a grammar from its valid inputs and generates 500
+inputs from it.";
 
 const SEED: u64 = 1;
 const GENERATE: usize = 500;
 const MAX_DEPTH: usize = 12;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let subject_name = args.get(1).map(String::as_str).unwrap_or("cjson");
-    let fuzz_execs: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(30_000);
-
+    let args = Args::from_env(USAGE);
+    let subject_name = args.positional(0).unwrap_or("cjson");
+    let fuzz_execs = args.or_exit(args.positive_at(1, "FUZZ_EXECS", 30_000));
     let Some(info) = subjects::by_name(subject_name) else {
-        eprintln!("unknown subject {subject_name}");
-        std::process::exit(1);
+        args.fail(&format!("unknown subject {subject_name}"));
     };
 
     let fuzz_cfg = DriverConfig {
