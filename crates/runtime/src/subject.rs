@@ -598,6 +598,11 @@ impl Subject {
     /// Each candidate still passes through the metrics chokepoint
     /// individually, so exec counters and verdict identities are
     /// unchanged relative to N single runs.
+    ///
+    /// No campaign calls it: the driver runs [`failure_run`](Self::failure_run)
+    /// and the generator flood runs each input once under coverage. It
+    /// stays for the benchmark's per-layer fixture, which times the fast
+    /// tier through it, and for the `exec_batch` bench.
     pub fn exec_batch_fast<'a, I: AsRef<[u8]>>(
         &self,
         arena: &'a mut ExecArena,
