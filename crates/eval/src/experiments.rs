@@ -652,7 +652,9 @@ pub struct GrammarStudyRow {
     /// alone, seeded from the persisted grammar + learned weights) or
     /// `"combined"` (the full three-stage pipeline, re-mining).
     pub mode: &'static str,
-    /// Instrumented executions spent.
+    /// The pFuzzer and combined rows: instrumented executions spent.
+    /// The flood row: its distinct valid inputs, one coverage run each;
+    /// the flood's runs of invalid inputs are not in this count.
     pub execs: u64,
     /// Inputs the generator produced (zero for the pFuzzer row).
     pub generated: u64,
@@ -697,10 +699,10 @@ fn grammar_study_row(
 /// (3) the full combined pipeline re-mining from scratch. Returns three
 /// [`GrammarStudyRow`]s in that order. The flood row spends its budget
 /// as generated inputs, each run at most once under coverage; its
-/// `execs` counts the runs that found a distinct valid input. A
-/// grammar whose cheapest expansions cycle is
-/// reported with zeroed generator columns rather than aborting the
-/// study. Deterministic in all arguments.
+/// `execs` is its distinct valid input count (see
+/// [`GrammarStudyRow::execs`]). A grammar whose cheapest expansions
+/// cycle is reported with zeroed generator columns rather than
+/// aborting the study. Deterministic in all arguments.
 pub fn grammar_vs_baseline(
     info: &pdf_subjects::SubjectInfo,
     file: &GrammarFile,
@@ -735,7 +737,7 @@ pub fn grammar_vs_baseline(
                 grammar_study_row(
                     info.name,
                     "flood",
-                    report.distinct_valid.len() as u64, // runs that found a fresh input
+                    report.distinct_valid.len() as u64,
                     report.generated,
                     &report.distinct_valid,
                     report.branches.len(),

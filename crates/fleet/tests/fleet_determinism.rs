@@ -140,9 +140,9 @@ fn corrupt_generation_falls_back_to_previous_epoch() {
 
 #[test]
 fn tiered_fleet_is_deterministic_and_finds_valid_inputs() {
-    // the batched fast-failure promotion pass at sync epochs is RNG-free
-    // and deterministic, so the fleet digest contract extends to the
-    // tiered exec mode
+    // every input a tiered shard reports valid was accepted by a real
+    // run, so sync epochs promote it as is, with no RNG and no re-run:
+    // the fleet digest contract extends to the tiered exec mode
     let subject = pdf_subjects::arith::subject();
     let mut cfg = fleet_cfg(3, 300, 11, 1_500);
     cfg.base.exec_mode = pdf_core::ExecMode::Tiered;

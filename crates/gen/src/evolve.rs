@@ -24,6 +24,17 @@
 //! the only randomness is the generator's own [`Rng`] stream, so two
 //! runs with the same `(grammar, seed, epochs, batch)` produce
 //! identical weights, inputs and digests.
+//!
+//! The pass is cheap only while most inputs are valid. Against a
+//! fast-tier flood with escalation (one fast run per input, plus a
+//! coverage run per fresh valid input), it saves a fast run on every
+//! valid input but pays a coverage run, 1.5–2.2 fast runs on mjs, for
+//! every invalid one. So it wins while a batch's invalid share stays
+//! below the fast/coverage cost ratio (about one half) and loses above
+//! it: the mined-grammar floods of the evaluation subjects have
+//! invalid shares of 0 to 0.42, but a flood of mostly invalid inputs
+//! runs slower: 31–46% at an invalid share of 0.88 (EXPERIMENTS.md,
+//! "One run per generated input").
 
 use std::collections::BTreeMap;
 

@@ -1,13 +1,21 @@
 //! The examples that take an execution budget refuse a malformed one:
 //! exit 2 with the usage, before any campaign starts, instead of
 //! quietly running the default budget.
+//!
+//! The test runs the example binaries, which cargo builds only for a
+//! test run without a target filter (`cargo test`, as tier-1 and CI
+//! run it) or with `--examples`. A filtered run on a clean target
+//! directory needs them built first:
+//! `cargo build --examples && cargo test --test examples_cli`, adding
+//! `--release` to both for the release profile.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-/// The built example `name`. `cargo test` builds every example into
-/// the `examples` directory beside this test's `deps` directory.
+/// The built example `name`. An unfiltered `cargo test` builds every
+/// example into the `examples` directory beside this test's `deps`
+/// directory.
 fn example(name: &str) -> PathBuf {
     let exe = std::env::current_exe().expect("test binary path");
     let dir = exe
@@ -19,7 +27,8 @@ fn example(name: &str) -> PathBuf {
         .join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     assert!(
         path.exists(),
-        "{} is not built; `cargo test` builds the examples",
+        "{} is not built: run `cargo build --examples` first (with \
+         `--release` for a release test run) or an unfiltered `cargo test`",
         path.display()
     );
     path

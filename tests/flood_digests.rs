@@ -6,11 +6,15 @@
 //! change to which inputs are run, under which sink, or in what order
 //! they are credited shows up here. Each grammar is mined from the
 //! subject's fixed reference corpus, so the pins do not depend on a
-//! pFuzzer search. The combined pin also holds the promotion of flood
-//! inputs into a fleet to the campaign it produced before.
+//! pFuzzer search. The combined pins also hold the promotion of flood
+//! inputs into a fleet to the campaign it produced before, and the
+//! tiered pins hold fleets whose sync epochs once re-confirmed every
+//! promoted input with a fast-failure run before injecting it.
 
+use parser_directed_fuzzing::fleet::{Fleet, FleetConfig};
 use parser_directed_fuzzing::grammar::mine_corpus;
-use parser_directed_fuzzing::pfuzzer::ExecMode;
+use parser_directed_fuzzing::pfuzzer::{DriverConfig, ExecMode};
+use parser_directed_fuzzing::runtime::Subject;
 use parser_directed_fuzzing::subjects;
 use pdf_gen::{compile_uniform, evolve, run_combined, CombinedConfig, EvolveConfig};
 
@@ -48,8 +52,8 @@ fn small_mjs_flood() {
     assert_eq!(flood("mjs", 10, 1, 4, 256), "e09de4baaaf107bb");
 }
 
-#[test]
-fn combined_campaign() {
+/// The digest of a small combined campaign on arith.
+fn combined(exec_mode: ExecMode) -> String {
     let cfg = CombinedConfig {
         seed: 5,
         explore_execs: 2_000,
@@ -59,9 +63,47 @@ fn combined_campaign() {
         gen_epochs: 3,
         gen_batch: 64,
         max_depth: 8,
-        exec_mode: ExecMode::Full,
+        exec_mode,
     };
     let report = run_combined(subjects::arith::subject(), &cfg).expect("valid fleet config");
     assert!(report.flood.is_some(), "{:?}", report.flood_skipped);
-    assert_eq!(format!("{:016x}", report.digest()), "0606d04db974952f");
+    format!("{:016x}", report.digest())
+}
+
+#[test]
+fn combined_campaign() {
+    assert_eq!(combined(ExecMode::Full), "0606d04db974952f");
+}
+
+#[test]
+fn tiered_combined_campaign() {
+    assert_eq!(combined(ExecMode::Tiered), "62cc2f9c2de919f0");
+}
+
+/// The digest of a tiered fleet that promoted at least one input
+/// between shards.
+fn tiered_fleet(subject: Subject, seed: u64, shards: usize, per_shard_execs: u64) -> String {
+    let base = DriverConfig {
+        seed,
+        max_execs: per_shard_execs,
+        exec_mode: ExecMode::Tiered,
+        ..DriverConfig::default()
+    };
+    let cfg = FleetConfig::new(shards, per_shard_execs / 8, base);
+    let report = Fleet::new(subject, cfg).expect("valid fleet config").run();
+    assert!(report.promotions > 0, "no input was promoted");
+    format!("{:016x}", report.digest())
+}
+
+#[test]
+fn tiered_fleets() {
+    let got = [
+        tiered_fleet(subjects::arith::subject(), 11, 3, 1_500),
+        tiered_fleet(subjects::json::subject(), 1, 2, 4_000),
+        tiered_fleet(subjects::mjs::subject(), 1, 2, 4_000),
+    ];
+    assert_eq!(
+        got,
+        ["9cf51184d80c38f9", "fb12641278e09b38", "a4a71eb156829285"]
+    );
 }
