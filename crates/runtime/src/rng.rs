@@ -297,6 +297,16 @@ mod tests {
     }
 
     #[test]
+    fn stream_digest_is_pinned() {
+        let mut r = Rng::new(42);
+        assert_eq!(r.stream_digest(), 0xcbf2_9ce4_8422_2325);
+        for _ in 0..5 {
+            r.next_u64();
+        }
+        assert_eq!(r.stream_digest(), 0x61cd_a79e_c452_0ee2);
+    }
+
+    #[test]
     fn skip_fast_forwards_the_stream() {
         let mut consumed = Rng::new(17);
         for _ in 0..37 {

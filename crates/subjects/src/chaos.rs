@@ -348,6 +348,28 @@ mod tests {
     }
 
     #[test]
+    fn fault_decisions_are_pinned() {
+        let cfg = ChaosConfig {
+            seed: 9,
+            panic_per_mille: 250,
+            hang_per_mille: 250,
+            flaky_per_mille: 250,
+        };
+        let inputs = (0..32u32)
+            .map(|i| i.to_le_bytes().to_vec())
+            .chain([b"".to_vec(), b"1+1".to_vec(), b"{\"a\":[1,2]}".to_vec()]);
+        let vector: String = inputs
+            .map(|input| match decide(&cfg, &input) {
+                Fault::Panic => 'P',
+                Fault::Hang => 'H',
+                Fault::Flaky => 'F',
+                Fault::Pass => '.',
+            })
+            .collect();
+        assert_eq!(vector, "PPHHHFF...PPPHHFFF...PPHHHFFF..PFFH");
+    }
+
+    #[test]
     fn verdicts_agree_across_sink_flavours() {
         let subject = arith_chaos(ChaosConfig::stormy(11));
         for i in 0..300u32 {
