@@ -6,6 +6,8 @@
 //! fixed xoshiro256** implementation (public-domain algorithm by Blackman
 //! and Vigna), seeded via SplitMix64.
 
+use crate::Digest;
+
 /// Deterministic xoshiro256** generator.
 ///
 /// # Example
@@ -22,7 +24,7 @@
 pub struct Rng {
     s: [u64; 4],
     draws: u64,
-    digest: u64,
+    digest: Digest,
 }
 
 /// SplitMix64's state increment (the golden-ratio gamma).
@@ -51,7 +53,7 @@ impl Rng {
         Rng {
             s: [0, 1, 2, 3].map(|i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(GAMMA)))),
             draws: 0,
-            digest: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
+            digest: Digest::new(),
         }
     }
 
@@ -66,9 +68,7 @@ impl Rng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         self.draws += 1;
-        for b in result.to_le_bytes() {
-            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        self.digest.write_u64(result);
         result
     }
 
@@ -79,10 +79,10 @@ impl Rng {
         self.draws
     }
 
-    /// Rolling FNV-1a digest over every value this generator has
+    /// Rolling [`Digest`] over every value this generator has
     /// produced — a compact fingerprint of the whole random stream.
     pub fn stream_digest(&self) -> u64 {
-        self.digest
+        self.digest.finish()
     }
 
     /// Uniform value in `[lo, hi)`.

@@ -42,8 +42,9 @@
 use std::sync::{Mutex, OnceLock};
 
 use pdf_runtime::{
-    cov, CoverageOnly, CoverageSubjectFn, EventSink, ExecCtx, FastFailure, FastFailureSubjectFn,
-    FullLog, LastFailure, LastFailureSubjectFn, ParseError, Subject, SubjectFn,
+    cov, CoverageOnly, CoverageSubjectFn, Digest, EventSink, ExecCtx, FastFailure,
+    FastFailureSubjectFn, FullLog, LastFailure, LastFailureSubjectFn, ParseError, Subject,
+    SubjectFn,
 };
 
 /// Fault schedule for a chaos-wrapped subject. Rates are per-mille and
@@ -96,18 +97,15 @@ enum Fault {
     Pass,
 }
 
-/// The fault decision: FNV-1a over seed then input, reduced per-mille.
+/// The fault decision: a [`Digest`] of the seed then the input bytes,
+/// reduced per-mille.
 fn decide(cfg: &ChaosConfig, input: &[u8]) -> Fault {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in cfg
-        .seed
-        .to_le_bytes()
-        .into_iter()
-        .chain(input.iter().copied())
-    {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    let mut h = Digest::new();
+    h.write_u64(cfg.seed);
+    for &b in input {
+        h.write_u8(b);
     }
-    let v = (h % 1000) as u16;
+    let v = (h.finish() % 1000) as u16;
     if v < cfg.panic_per_mille {
         Fault::Panic
     } else if v < cfg.panic_per_mille + cfg.hang_per_mille {
@@ -355,9 +353,11 @@ mod tests {
             hang_per_mille: 250,
             flaky_per_mille: 250,
         };
-        let inputs = (0..32u32)
-            .map(|i| i.to_le_bytes().to_vec())
-            .chain([b"".to_vec(), b"1+1".to_vec(), b"{\"a\":[1,2]}".to_vec()]);
+        let inputs = (0..32u32).map(|i| i.to_le_bytes().to_vec()).chain([
+            b"".to_vec(),
+            b"1+1".to_vec(),
+            b"{\"a\":[1,2]}".to_vec(),
+        ]);
         let vector: String = inputs
             .map(|input| match decide(&cfg, &input) {
                 Fault::Panic => 'P',
