@@ -37,7 +37,9 @@ mod mutate;
 pub use bitmap::CoverageBitmap;
 pub use mutate::{havoc, havoc_preserving, splice, MutationOp};
 
-use pdf_runtime::{BranchSet, CovExecution, Digest, PhaseClock, Rng, RunStats, Subject};
+use std::time::Instant;
+
+use pdf_runtime::{BranchSet, CovExecution, Digest, Rng, RunStats, Subject};
 
 /// AFL driver configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +171,7 @@ impl AflFuzzer {
             valid_execs: 0,
             stats: RunStats::default(),
         };
-        let mut clock = PhaseClock::new();
+        let started = Instant::now();
         let mut bitmap = CoverageBitmap::new();
         let mut queue: Vec<Vec<u8>> = Vec::new();
 
@@ -178,7 +180,7 @@ impl AflFuzzer {
             if report.execs >= self.cfg.max_execs {
                 break;
             }
-            let exec = self.execute(&mut report, &seed, &mut clock, "seeds");
+            let exec = self.execute(&mut report, &seed);
             if bitmap.record_branches(exec.cov.branch_seq.iter().copied()) {
                 queue.push(seed);
                 report.paths += 1;
@@ -204,14 +206,7 @@ impl AflFuzzer {
                     if report.execs >= self.cfg.max_execs {
                         break;
                     }
-                    self.try_case(
-                        case,
-                        &mut report,
-                        &mut bitmap,
-                        &mut queue,
-                        &mut clock,
-                        "deterministic",
-                    );
+                    self.try_case(case, &mut report, &mut bitmap, &mut queue);
                 }
                 continue;
             }
@@ -223,27 +218,13 @@ impl AflFuzzer {
                     break;
                 }
                 let case = self.havoc_case(&base);
-                self.try_case(
-                    case,
-                    &mut report,
-                    &mut bitmap,
-                    &mut queue,
-                    &mut clock,
-                    "havoc",
-                );
+                self.try_case(case, &mut report, &mut bitmap, &mut queue);
             }
             if queue.len() >= 2 && report.execs < self.cfg.max_execs {
                 let other = queue[self.rng.gen_range(0, queue.len())].clone();
                 let case = splice(&base, &other, &mut self.rng);
                 let case = self.havoc_case(&case);
-                self.try_case(
-                    case,
-                    &mut report,
-                    &mut bitmap,
-                    &mut queue,
-                    &mut clock,
-                    "havoc",
-                );
+                self.try_case(case, &mut report, &mut bitmap, &mut queue);
             }
         }
         report.stats.executions = report.execs;
@@ -254,9 +235,7 @@ impl AflFuzzer {
         // enough to verify a replay consumed the identical stream.
         report.stats.decisions = self.rng.draw_count();
         report.stats.decision_digest = self.rng.stream_digest();
-        let (wall, phases) = clock.finish();
-        report.stats.wall_secs = wall;
-        report.stats.phases = phases;
+        report.stats.wall_secs = started.elapsed().as_secs_f64();
         report
     }
 
@@ -284,34 +263,24 @@ impl AflFuzzer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn try_case(
         &mut self,
         mut case: Vec<u8>,
         report: &mut AflReport,
         bitmap: &mut CoverageBitmap,
         queue: &mut Vec<Vec<u8>>,
-        clock: &mut PhaseClock,
-        phase: &'static str,
     ) {
         case.truncate(self.cfg.max_input_len);
-        let exec = self.execute(report, &case, clock, phase);
+        let exec = self.execute(report, &case);
         if bitmap.record_branches(exec.cov.branch_seq.iter().copied()) {
             queue.push(case);
             report.paths += 1;
         }
     }
 
-    fn execute(
-        &mut self,
-        report: &mut AflReport,
-        input: &[u8],
-        clock: &mut PhaseClock,
-        phase: &'static str,
-    ) -> CovExecution {
+    fn execute(&mut self, report: &mut AflReport, input: &[u8]) -> CovExecution {
         report.execs += 1;
-        let subject = &self.subject;
-        let exec = clock.time(phase, || subject.run_coverage(input));
+        let exec = self.subject.run_coverage(input);
         report.stats.events += exec.cov.events;
         if exec.verdict.is_hang() {
             report.stats.hangs += 1;
@@ -492,11 +461,6 @@ mod tests {
         assert_eq!(report.stats.executions, report.execs);
         assert!(report.stats.events > 0);
         assert!(report.stats.wall_secs > 0.0);
-        assert!(report
-            .stats
-            .phases
-            .iter()
-            .any(|(name, _)| *name == "havoc" || *name == "deterministic"));
     }
 
     #[test]

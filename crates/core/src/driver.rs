@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use pdf_runtime::{
     digest_bytes, BranchSet, Candidate, CmpValue, Digest, ExecArena, FailureExecution,
-    FailureSummary, FastExecution, PhaseClock, Rng, RunStats, Subject, Verdict,
+    FailureSummary, FastExecution, Rng, RunStats, Subject, Verdict,
 };
 
 use crate::budget::{CampaignBudget, StopReason, DEADLINE_CHECK_INTERVAL};
@@ -403,10 +403,9 @@ pub struct Fuzzer {
     /// every run the driver makes; cleared, never reallocated, between
     /// executions.
     arena: ExecArena,
-    /// Started on the first `run_until` call and kept across pauses;
-    /// `Option` so `run_until` can take it out while driving and
-    /// `into_report` can consume it with `finish()`.
-    clock: Option<PhaseClock>,
+    /// When the first `run_until` call started; kept across pauses, so
+    /// the report's `wall_secs` spans them.
+    started: Option<Instant>,
 }
 
 impl Fuzzer {
@@ -421,7 +420,7 @@ impl Fuzzer {
             decisions: Vec::new(),
             state,
             arena: ExecArena::new(),
-            clock: None,
+            started: None,
         }
     }
 
@@ -441,7 +440,7 @@ impl Fuzzer {
             decisions: Vec::new(),
             state,
             arena: ExecArena::new(),
-            clock: None,
+            started: None,
         }
     }
 
@@ -537,20 +536,14 @@ impl Fuzzer {
     /// [`run`](Self::run) and [`into_report`](Self::into_report) yields
     /// a report with the same [`digest`](FuzzReport::digest).
     pub fn run_until(&mut self, budget: &CampaignBudget) -> StopReason {
-        let mut clock = self.clock.take().unwrap_or_default();
+        self.started.get_or_insert_with(Instant::now);
         let mut st = std::mem::replace(&mut self.state, CampaignState::new(self.cfg.heuristic));
-        let stop = self.drive(&mut st, &mut clock, budget);
+        let stop = self.drive(&mut st, budget);
         self.state = st;
-        self.clock = Some(clock);
         stop
     }
 
-    fn drive(
-        &mut self,
-        st: &mut CampaignState,
-        clock: &mut PhaseClock,
-        budget: &CampaignBudget,
-    ) -> StopReason {
+    fn drive(&mut self, st: &mut CampaignState, budget: &CampaignBudget) -> StopReason {
         if !st.primed {
             // Line 4: input ← random character. (The empty string is the
             // conceptual step before it: it is rejected with an immediate
@@ -594,9 +587,7 @@ impl Fuzzer {
                 // accepted (or traced), so a rejected one builds a lean
                 // summary.
                 let lean = !self.cfg.trace;
-                let exec = clock.time("execute", || {
-                    self.execute(&mut st.report, &mut st.tier, &st.current, lean)
-                });
+                let exec = self.execute(&mut st.report, &mut st.tier, &st.current, lean);
                 self.mine_tokens_from(&mut st.mined, &exec);
                 if !exec.valid {
                     st.known_invalid.insert(st.current.clone());
@@ -627,9 +618,7 @@ impl Fuzzer {
                 let mut extended = st.current.clone();
                 extended.push(self.next_byte());
                 pdf_obs::record(|m| m.appends.inc());
-                let exec2 = clock.time("execute", || {
-                    self.execute(&mut st.report, &mut st.tier, &extended, false)
-                });
+                let exec2 = self.execute(&mut st.report, &mut st.tier, &extended, false);
                 self.mine_tokens_from(&mut st.mined, &exec2);
                 let accepted2 = self.run_check(
                     &mut st.report,
@@ -671,20 +660,17 @@ impl Fuzzer {
                 self.trace(&mut st.report, &extended, &exec2, "extension run");
             }
             // Line 14: next candidate, or a fresh random restart.
-            let st_queue = &mut st.queue;
-            let st_steer = &st.steer_branches;
-            let search = self.cfg.search;
-            let next = clock.time("schedule", || {
+            let next = {
                 let _span = pdf_obs::span("driver.pick");
-                if st_queue.len() > QUEUE_HIGH_WATER {
-                    st_queue.shrink(QUEUE_LOW_WATER, st_steer);
+                if st.queue.len() > QUEUE_HIGH_WATER {
+                    st.queue.shrink(QUEUE_LOW_WATER, &st.steer_branches);
                 }
-                match search {
-                    SearchMode::Heuristic => st_queue.pop(st_steer),
-                    SearchMode::DepthFirst => st_queue.pop_newest(),
-                    SearchMode::BreadthFirst => st_queue.pop_oldest(),
+                match self.cfg.search {
+                    SearchMode::Heuristic => st.queue.pop(&st.steer_branches),
+                    SearchMode::DepthFirst => st.queue.pop_newest(),
+                    SearchMode::BreadthFirst => st.queue.pop_oldest(),
                 }
-            });
+            };
             pdf_obs::record(|m| {
                 let depth = st.queue.len() as u64;
                 m.queue_depth.observe(depth);
@@ -705,7 +691,7 @@ impl Fuzzer {
     }
 
     /// Finalizes the campaign into its report: derived stats counters,
-    /// the decision stream and the wall-clock phases. Consumes the
+    /// the decision stream and the wall time. Consumes the
     /// driver; call after [`run_until`](Self::run_until) returns
     /// [`StopReason::Finished`] (calling earlier simply reports the
     /// campaign as paused mid-flight).
@@ -723,10 +709,8 @@ impl Fuzzer {
             .iter()
             .map(|(tok, &count)| (tok.clone(), count))
             .collect();
-        if let Some(clock) = self.clock {
-            let (wall, phases) = clock.finish();
-            report.stats.wall_secs = wall;
-            report.stats.phases = phases;
+        if let Some(started) = self.started {
+            report.stats.wall_secs = started.elapsed().as_secs_f64();
         }
         report
     }
@@ -883,7 +867,7 @@ impl Fuzzer {
             decisions: ck.decisions.clone(),
             state,
             arena: ExecArena::new(),
-            clock: None,
+            started: None,
         })
     }
 
@@ -1379,11 +1363,6 @@ mod tests {
         assert!(report.stats.events > 0);
         assert!(report.stats.wall_secs > 0.0);
         assert!(report.stats.execs_per_sec() > 0.0);
-        assert!(report
-            .stats
-            .phases
-            .iter()
-            .any(|(name, _)| *name == "execute"));
     }
 
     #[test]
@@ -1460,6 +1439,29 @@ mod tests {
         assert_eq!(stitched.valid_inputs, uninterrupted.valid_inputs);
         assert_eq!(stitched.decisions, uninterrupted.decisions);
         assert_eq!(stitched.digest(), uninterrupted.digest());
+    }
+
+    #[test]
+    fn wall_secs_spans_pauses() {
+        let cfg = DriverConfig {
+            seed: 4,
+            max_execs: 1_000,
+            ..DriverConfig::default()
+        };
+        let mut f = Fuzzer::new(pdf_subjects::arith::subject(), cfg);
+        assert_eq!(
+            f.run_until(&CampaignBudget::execs(500)),
+            StopReason::PausedExecs
+        );
+        let pause = std::time::Duration::from_millis(20);
+        std::thread::sleep(pause);
+        assert_eq!(
+            f.run_until(&CampaignBudget::unbounded()),
+            StopReason::Finished
+        );
+        let report = f.into_report();
+        assert_eq!(report.execs, 1_000);
+        assert!(report.stats.wall_secs >= pause.as_secs_f64());
     }
 
     #[test]

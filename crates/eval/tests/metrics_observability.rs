@@ -59,21 +59,22 @@ fn counter_identities_hold_on_a_csv_campaign() {
 }
 
 /// The campaign-level spans all fired: the per-phase breakdown is
-/// non-empty for every phase the driver actually runs.
+/// non-empty for every phase the driver actually runs, and for both
+/// baselines' campaigns and KLEE's solver.
 #[test]
 fn phase_spans_cover_the_driver_loop() {
     let registry = Arc::new(MetricsRegistry::new());
     let _scope = pdf_obs::install(Arc::clone(&registry));
-    let cells: Vec<MatrixCell> = csv_cells()
-        .into_iter()
-        .filter(|c| c.tool == pdf_eval::Tool::PFuzzer)
-        .collect();
+    let cells = csv_cells();
     let _ = pdf_eval::run_cells(&cells, 1);
     for phase in [
         "driver.pick",
         "driver.exec",
         "driver.classify",
         "driver.enqueue",
+        "afl.campaign",
+        "klee.campaign",
+        "klee.solve",
     ] {
         let stat = registry.span_stat(phase).unwrap_or_default();
         assert!(stat.count > 0, "span {phase} never fired");

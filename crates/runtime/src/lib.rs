@@ -80,7 +80,7 @@ pub use sink::{
     LastFailure,
 };
 pub use site::SiteId;
-pub use stats::{PhaseClock, RunStats};
+pub use stats::RunStats;
 pub use subject::{
     CovExecution, CoverageSubjectFn, Execution, FailureExecution, FailureRun, FastExecution,
     FastFailureSubjectFn, LastFailureSubjectFn, Subject, SubjectFn, Verdict,

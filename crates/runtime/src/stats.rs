@@ -1,14 +1,13 @@
-//! Run-level observability: execution counters and phase timings.
+//! Run-level observability: execution counters and wall time.
 //!
 //! Every tool (driver, AFL baseline, KLEE baseline) fills a [`RunStats`]
 //! while it runs; the evaluation harness emits them as JSON lines
 //! (`evalrunner --stats-out`). Stats are measurements, not results:
 //! wall-clock fields vary between runs and are deliberately excluded
-//! from all determinism comparisons.
+//! from all determinism comparisons. Per-phase time comes from
+//! `pdf-obs` spans (`evalrunner --metrics-out`).
 
-use std::time::{Duration, Instant};
-
-/// Counters and timings sampled over one fuzzing run.
+/// Counters and wall time sampled over one fuzzing run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Subject executions performed.
@@ -39,8 +38,6 @@ pub struct RunStats {
     pub decision_digest: u64,
     /// Total wall time of the run, in seconds.
     pub wall_secs: f64,
-    /// Per-phase wall time, in seconds, in first-seen order.
-    pub phases: Vec<(&'static str, f64)>,
 }
 
 impl RunStats {
@@ -57,14 +54,11 @@ impl RunStats {
     /// so callers can prepend context keys (tool, subject, seed). The
     /// environment has no serde; the format is hand-rolled but stable.
     pub fn json_fields(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
+        format!(
             "\"executions\":{},\"execs_per_sec\":{:.1},\"events\":{},\
              \"valid_inputs\":{},\"hangs\":{},\"crashes\":{},\"retries\":{},\
              \"queue_depth\":{},\"decisions\":{},\
-             \"decision_digest\":\"{:016x}\",\"wall_secs\":{:.6},\"phases\":{{",
+             \"decision_digest\":\"{:016x}\",\"wall_secs\":{:.6}",
             self.executions,
             self.execs_per_sec(),
             self.events,
@@ -76,74 +70,12 @@ impl RunStats {
             self.decisions,
             self.decision_digest,
             self.wall_secs,
-        );
-        for (i, (name, secs)) in self.phases.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\"{name}\":{secs:.6}");
-        }
-        s.push('}');
-        s
+        )
     }
 
     /// This record as a complete JSON object.
     pub fn to_json(&self) -> String {
         format!("{{{}}}", self.json_fields())
-    }
-}
-
-/// Accumulates wall time into named phases and the run total.
-///
-/// ```
-/// use pdf_runtime::PhaseClock;
-/// let mut clock = PhaseClock::new();
-/// let n = clock.time("execute", || 2 + 2);
-/// assert_eq!(n, 4);
-/// let (wall, phases) = clock.finish();
-/// assert!(wall >= phases[0].1);
-/// assert_eq!(phases[0].0, "execute");
-/// ```
-#[derive(Debug)]
-pub struct PhaseClock {
-    start: Instant,
-    acc: Vec<(&'static str, Duration)>,
-}
-
-impl Default for PhaseClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PhaseClock {
-    /// Starts the run clock.
-    pub fn new() -> Self {
-        PhaseClock {
-            start: Instant::now(),
-            acc: Vec::new(),
-        }
-    }
-
-    /// Runs `f`, charging its wall time to `phase`.
-    pub fn time<R>(&mut self, phase: &'static str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let out = f();
-        let dt = t0.elapsed();
-        match self.acc.iter_mut().find(|(name, _)| *name == phase) {
-            Some((_, total)) => *total += dt,
-            None => self.acc.push((phase, dt)),
-        }
-        out
-    }
-
-    /// Total wall seconds since construction plus per-phase seconds.
-    pub fn finish(self) -> (f64, Vec<(&'static str, f64)>) {
-        let wall = self.start.elapsed().as_secs_f64();
-        let phases = self
-            .acc
-            .into_iter()
-            .map(|(name, d)| (name, d.as_secs_f64()))
-            .collect();
-        (wall, phases)
     }
 }
 
@@ -164,7 +96,6 @@ mod tests {
             decisions: 17,
             decision_digest: 0xabcd,
             wall_secs: 0.5,
-            phases: vec![("execute", 0.4), ("schedule", 0.1)],
         };
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -175,24 +106,11 @@ mod tests {
         assert!(json.contains("\"retries\":1"));
         assert!(json.contains("\"decisions\":17"));
         assert!(json.contains("\"decision_digest\":\"000000000000abcd\""));
-        assert!(json.contains("\"phases\":{\"execute\":0.400000,\"schedule\":0.100000}"));
+        assert!(json.ends_with("\"wall_secs\":0.500000}"));
     }
 
     #[test]
     fn execs_per_sec_handles_zero_wall() {
         assert_eq!(RunStats::default().execs_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn phase_clock_accumulates_repeated_phases() {
-        let mut clock = PhaseClock::new();
-        clock.time("a", || std::thread::sleep(Duration::from_millis(1)));
-        clock.time("b", || ());
-        clock.time("a", || std::thread::sleep(Duration::from_millis(1)));
-        let (wall, phases) = clock.finish();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].0, "a");
-        assert!(phases[0].1 >= 0.002);
-        assert!(wall >= phases[0].1 + phases[1].1);
     }
 }

@@ -38,8 +38,9 @@ pub mod path;
 pub mod solver;
 
 use std::collections::{HashSet, VecDeque};
+use std::time::Instant;
 
-use pdf_runtime::{BranchSet, Digest, PhaseClock, Rng, RunStats, Subject};
+use pdf_runtime::{BranchSet, Digest, Rng, RunStats, Subject};
 
 use path::{negate, path_condition, Cond};
 use solver::solve;
@@ -198,7 +199,7 @@ impl KleeFuzzer {
             exploded: false,
             stats: RunStats::default(),
         };
-        let mut clock = PhaseClock::new();
+        let started = Instant::now();
         let mut frontier: VecDeque<State> = VecDeque::new();
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
         let mut rng = match self.cfg.search {
@@ -221,8 +222,7 @@ impl KleeFuzzer {
             report.execs += 1;
             // the concolic loop negates conjuncts of the full path
             // condition, so this tool genuinely needs the FullLog sink
-            let subject = &self.subject;
-            let exec = clock.time("execute", || subject.run(&state.input));
+            let exec = self.subject.run(&state.input);
             report.stats.events += exec.log.events.len() as u64;
             if exec.verdict.is_hang() {
                 report.stats.hangs += 1;
@@ -242,33 +242,32 @@ impl KleeFuzzer {
                 report.valid_inputs.push(state.input.clone());
                 report.valid_found_at.push(report.execs);
             }
-            clock.time("solve", || {
-                // collect the path condition and fork every suffix
-                let conds: Vec<Cond> = path_condition(&exec.log);
-                let depth = conds.len().min(self.cfg.max_depth);
-                for j in 0..depth {
-                    let Some(neg) = negate(&conds[j]) else {
-                        continue;
-                    };
-                    let mut prefix: Vec<Cond> = conds[..j].to_vec();
-                    prefix.push(neg);
-                    let Some(new_input) = solve(&prefix, self.cfg.filler) else {
-                        continue; // infeasible
-                    };
-                    if new_input.len() > self.cfg.max_input_len {
-                        continue; // beyond the symbolic input size
-                    }
-                    if !seen.insert(new_input.clone()) {
-                        continue;
-                    }
-                    report.states_generated += 1;
-                    if frontier.len() >= self.cfg.max_states {
-                        report.exploded = true;
-                        continue; // dropped: the explosion wall
-                    }
-                    frontier.push_back(State { input: new_input });
+            // collect the path condition and fork every suffix
+            let _solve = pdf_obs::span("klee.solve");
+            let conds: Vec<Cond> = path_condition(&exec.log);
+            let depth = conds.len().min(self.cfg.max_depth);
+            for j in 0..depth {
+                let Some(neg) = negate(&conds[j]) else {
+                    continue;
+                };
+                let mut prefix: Vec<Cond> = conds[..j].to_vec();
+                prefix.push(neg);
+                let Some(new_input) = solve(&prefix, self.cfg.filler) else {
+                    continue; // infeasible
+                };
+                if new_input.len() > self.cfg.max_input_len {
+                    continue; // beyond the symbolic input size
                 }
-            });
+                if !seen.insert(new_input.clone()) {
+                    continue;
+                }
+                report.states_generated += 1;
+                if frontier.len() >= self.cfg.max_states {
+                    report.exploded = true;
+                    continue; // dropped: the explosion wall
+                }
+                frontier.push_back(State { input: new_input });
+            }
         }
         report.stats.executions = report.execs;
         report.stats.valid_inputs = report.valid_inputs.len() as u64;
@@ -279,9 +278,7 @@ impl KleeFuzzer {
             report.stats.decisions = rng.draw_count();
             report.stats.decision_digest = rng.stream_digest();
         }
-        let (wall, phases) = clock.finish();
-        report.stats.wall_secs = wall;
-        report.stats.phases = phases;
+        report.stats.wall_secs = started.elapsed().as_secs_f64();
         report
     }
 }
